@@ -1,20 +1,22 @@
 //! `bench-partition` — before/after timings for the incremental
 //! partition evaluator, emitted as `BENCH_partition.json`.
 //!
-//! "Before" is the frozen seed implementation in
-//! [`codesign_bench::reference`] (clone every candidate, re-schedule
-//! from scratch); "after" is the incremental
-//! [`Evaluator`](codesign_partition::eval::Evaluator)-based algorithms.
-//! Both are timed on identical TGFF graphs and verified to return the
-//! same result, so the speedup column compares equal work.
+//! "Before" is the seed implementation (clone every candidate,
+//! re-schedule from scratch), retired since: its timings are recorded
+//! constants from a 1-core host, not measured on this one. "After" is
+//! the incremental [`Evaluator`](codesign_partition::eval::Evaluator)-based
+//! algorithms, timed here on the same TGFF graphs. That both return the
+//! same results is pinned by `crates/partition/tests/seed_golden.rs`.
+//! Pin the run to one core so the speedup column compares like with
+//! like:
 //!
 //! ```text
-//! cargo run --release -p codesign-bench --bin bench-partition [out.json]
+//! taskset -c 0 cargo run --release -p codesign-bench --bin bench-partition [out.json]
 //! ```
 
 use std::time::Instant;
 
-use codesign_bench::{jsonout, reference};
+use codesign_bench::jsonout;
 use codesign_ir::task::TaskGraph;
 use codesign_ir::workload::tgff::{random_task_graph, TgffConfig};
 use codesign_partition::algorithms::{
@@ -26,16 +28,23 @@ use codesign_partition::eval::EvalConfig;
 
 static NAIVE: NaiveArea = NaiveArea;
 
-/// Task-graph sizes measured. 256-task "before" runs take whole seconds
-/// per iteration, so iteration counts shrink with size.
+/// Task-graph sizes measured, with iteration counts that shrink with
+/// size.
 const SIZES: &[(usize, u32)] = &[(16, 20), (64, 5), (256, 1)];
 
-struct Row {
-    algorithm: &'static str,
-    tasks: usize,
-    before_ns: u128,
-    after_ns: u128,
-}
+/// The seed implementation's recorded ns per run, in `SIZES` order and,
+/// within a size, in the order the algorithms are run below.
+const SEED_BEFORE_NS: [[u128; 5]; 3] = [
+    [583_377, 108_531, 681_463, 259_532, 5_843_319],
+    [84_723_010, 5_005_524, 267_803_365, 32_233_443, 65_192_687],
+    [
+        17_065_942_039,
+        911_795_559,
+        38_852_584_875,
+        7_112_334_267,
+        1_086_486_459,
+    ],
+];
 
 fn graph(tasks: usize) -> TaskGraph {
     random_task_graph(&TgffConfig {
@@ -45,7 +54,7 @@ fn graph(tasks: usize) -> TaskGraph {
     })
 }
 
-fn time(iterations: u32, mut f: impl FnMut() -> PartitionResult) -> (u128, f64) {
+fn time(iterations: u32, f: impl Fn() -> PartitionResult) -> u128 {
     // One warm-up run, then the average of `iterations` timed runs.
     let warm = f().expect("algorithm runs");
     let start = Instant::now();
@@ -53,10 +62,7 @@ fn time(iterations: u32, mut f: impl FnMut() -> PartitionResult) -> (u128, f64) 
         let (_, e) = f().expect("algorithm runs");
         assert_eq!(e, warm.1, "non-deterministic algorithm under benchmark");
     }
-    (
-        start.elapsed().as_nanos() / u128::from(iterations),
-        warm.1.cost,
-    )
+    start.elapsed().as_nanos() / u128::from(iterations)
 }
 
 fn main() {
@@ -64,73 +70,40 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_partition.json".to_string());
     let schedule = AnnealingSchedule::default();
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows: Vec<String> = Vec::new();
+    let mut kl64_speedup = 0.0;
 
-    for &(tasks, iterations) in SIZES {
+    for (&(tasks, iterations), seed_ns) in SIZES.iter().zip(SEED_BEFORE_NS) {
         let g = graph(tasks);
         let config = EvalConfig::new(
             Objective::performance_driven(g.total_sw_cycles() / 3),
             &NAIVE,
         );
-        type Pair<'a> = (
-            &'static str,
-            &'a dyn Fn() -> PartitionResult,
-            &'a dyn Fn() -> PartitionResult,
-        );
-        let pairs: [Pair<'_>; 5] = [
-            ("sw_first", &|| reference::sw_first(&g, &config), &|| {
-                algorithms::sw_first(&g, &config)
+        let runs: [(&'static str, &dyn Fn() -> PartitionResult); 5] = [
+            ("sw_first", &|| algorithms::sw_first(&g, &config)),
+            ("hw_first", &|| algorithms::hw_first(&g, &config)),
+            ("kernighan_lin", &|| algorithms::kernighan_lin(&g, &config)),
+            ("gclp", &|| algorithms::gclp(&g, &config)),
+            ("simulated_annealing", &|| {
+                simulated_annealing(&g, &config, &schedule, 7)
             }),
-            ("hw_first", &|| reference::hw_first(&g, &config), &|| {
-                algorithms::hw_first(&g, &config)
-            }),
-            (
-                "kernighan_lin",
-                &|| reference::kernighan_lin(&g, &config),
-                &|| algorithms::kernighan_lin(&g, &config),
-            ),
-            ("gclp", &|| reference::gclp(&g, &config), &|| {
-                algorithms::gclp(&g, &config)
-            }),
-            (
-                "simulated_annealing",
-                &|| reference::simulated_annealing(&g, &config, &schedule, 7),
-                &|| simulated_annealing(&g, &config, &schedule, 7),
-            ),
         ];
-        for (algorithm, before, after) in pairs {
-            let (before_ns, before_cost) = time(iterations, before);
-            let (after_ns, after_cost) = time(iterations, after);
-            assert!(
-                (before_cost - after_cost).abs() <= f64::EPSILON,
-                "{algorithm}/{tasks}: before cost {before_cost} != after cost {after_cost}"
-            );
+        for ((algorithm, run), before_ns) in runs.into_iter().zip(seed_ns) {
+            let after_ns = time(iterations, run);
+            let speedup = before_ns as f64 / after_ns.max(1) as f64;
             eprintln!(
-                "{algorithm:>20} {tasks:>4} tasks: {:>12} ns -> {:>12} ns  ({:.1}x)",
-                before_ns,
-                after_ns,
-                before_ns as f64 / after_ns.max(1) as f64
+                "{algorithm:>20} {tasks:>4} tasks: {before_ns:>12} ns -> {after_ns:>12} ns  ({speedup:.1}x)"
             );
-            rows.push(Row {
-                algorithm,
-                tasks,
-                before_ns,
-                after_ns,
-            });
+            if algorithm == "kernighan_lin" && tasks == 64 {
+                kl64_speedup = speedup;
+            }
+            rows.push(format!(
+                "{{\"algorithm\": \"{algorithm}\", \"tasks\": {tasks}, \"before_ns\": {before_ns}, \
+                 \"after_ns\": {after_ns}, \"speedup\": {speedup:.2}}}"
+            ));
         }
     }
 
-    let rendered: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let speedup = r.before_ns as f64 / r.after_ns.max(1) as f64;
-            format!(
-                "{{\"algorithm\": \"{}\", \"tasks\": {}, \"before_ns\": {}, \
-                 \"after_ns\": {}, \"speedup\": {:.2}}}",
-                r.algorithm, r.tasks, r.before_ns, r.after_ns, speedup
-            )
-        })
-        .collect();
     let json = jsonout::render(
         "partition_algorithms",
         &[
@@ -138,25 +111,21 @@ fn main() {
             ("host_cores", jsonout::host_cores().into()),
             (
                 "before",
-                "seed clone-and-reevaluate implementation (codesign_bench::reference)".into(),
+                "recorded seed clone-and-reevaluate timings (1-core host), not measured on this host"
+                    .into(),
             ),
             (
                 "after",
                 "incremental Evaluator with suffix-restart delta evaluation".into(),
             ),
         ],
-        &rendered,
+        &rows,
     );
     jsonout::write(&out_path, &json);
 
-    let kl64 = rows
-        .iter()
-        .find(|r| r.algorithm == "kernighan_lin" && r.tasks == 64)
-        .expect("kl at 64 tasks measured");
-    let speedup = kl64.before_ns as f64 / kl64.after_ns.max(1) as f64;
-    println!("kernighan_lin @ 64 tasks: {speedup:.1}x (gate: >= 5x)");
+    println!("kernighan_lin @ 64 tasks: {kl64_speedup:.1}x (gate: >= 5x)");
     assert!(
-        speedup >= 5.0,
-        "incremental KL at 64 tasks is only {speedup:.1}x faster than the seed"
+        kl64_speedup >= 5.0,
+        "incremental KL at 64 tasks is only {kl64_speedup:.1}x faster than the seed"
     );
 }

@@ -48,6 +48,7 @@ use codesign::serve::{serve_tcp, RetryConfig, Server, ServerConfig};
 use codesign::servejobs::{
     cosim_report_json, partition_report_json, run_cosim, CodesignRunner, CosimParams,
 };
+use codesign::trace::json::escape;
 use codesign::trace::Tracer;
 use codesign_bench::jsonout::{self, Value};
 
@@ -91,7 +92,7 @@ fn job(
 }
 
 /// Minimal reply-field extraction (the protocol emits one flat JSON
-/// object per line; `result` is the only escaped-string field we need).
+/// object per line).
 fn reply_id(line: &str) -> Option<&str> {
     let rest = line.strip_prefix("{\"id\":")?;
     if rest.starts_with("null") {
@@ -115,40 +116,6 @@ fn reply_status(line: &str) -> &str {
         }
     }
     "unknown"
-}
-
-/// Unescapes the `"result":"..."` payload of an `ok` reply.
-fn reply_result(line: &str) -> Option<String> {
-    let start = line.find("\"result\":\"")? + 10;
-    let bytes = &line.as_bytes()[start..];
-    let mut out = String::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => return Some(out),
-            b'\\' => {
-                i += 1;
-                match bytes.get(i)? {
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'u' => {
-                        let code =
-                            u32::from_str_radix(&line[start + i + 1..start + i + 5], 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                        i += 4;
-                    }
-                    other => out.push(*other as char),
-                }
-            }
-            other => out.push(other as char),
-        }
-        i += 1;
-    }
-    None
 }
 
 /// What one client observed.
@@ -236,11 +203,12 @@ fn run_client(addr: std::net::SocketAddr, jobs: &[Job], garbage: usize) -> Clien
                 }
                 if status == "ok" {
                     if let Some(expect) = &j.expect {
-                        let got = reply_result(&line).expect("ok reply carries result");
-                        assert_eq!(
-                            &got,
-                            expect.as_str(),
-                            "job {id} ({}) diverged from the direct renderer",
+                        // `result` is the reply's last field, escaped by
+                        // the one escaper the server renders with.
+                        let result = format!("\"result\":\"{}\"}}", escape(expect));
+                        assert!(
+                            line.trim_end().ends_with(&result),
+                            "job {id} ({}) diverged from the direct renderer: {line}",
                             j.kind
                         );
                         out.byte_identical += 1;

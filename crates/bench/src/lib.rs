@@ -22,14 +22,12 @@
 //! | E11 | §2's open mixed-boundary case (beyond the paper) | [`e11_mixed_boundaries`] |
 //! | E12 | pipelined streaming co-processors (beyond the paper) | [`e12_pipelining`] |
 //!
-//! Run them all with `cargo run -p codesign-bench --bin experiments`;
-//! the Criterion benches in `benches/` measure the performance-critical
-//! claims (simulation throughput per level, solver scaling, estimator
-//! update cost) with statistical rigor.
+//! Run them all with `cargo run -p codesign-bench --bin experiments`.
+//! The `bench-*` binaries write the checked-in `BENCH_*.json` reports;
+//! repeatable end-to-end and per-layer timings come from the separate
+//! `perfbench` benchmark that `BENCHMARK.json` declares.
 
 #![warn(missing_docs)]
-
-pub mod reference;
 
 use std::fmt::Write as _;
 
@@ -107,7 +105,7 @@ pub mod jsonout {
     impl std::fmt::Display for Value {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
             match self {
-                Value::Str(s) => write!(f, "\"{s}\""),
+                Value::Str(s) => write!(f, "\"{}\"", codesign_trace::json::escape(s)),
                 Value::Num(n) | Value::Raw(n) => write!(f, "{n}"),
             }
         }

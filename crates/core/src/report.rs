@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 use crate::taxonomy::{DesignTask, Methodology, PartitioningFactor};
 
 /// Renders the Section 5 comparison: one row per methodology, one column
-/// per criterion, as a Markdown table.
+/// per comparison point, as a Markdown table.
 #[must_use]
 pub fn comparison_table(methodologies: &[Methodology]) -> String {
     let mut out = String::new();

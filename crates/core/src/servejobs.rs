@@ -45,7 +45,6 @@ use codesign_partition::area::{HwAreaModel, NaiveArea, SharedArea};
 use codesign_partition::cost::Objective;
 use codesign_partition::eval::{EvalConfig, Evaluation};
 use codesign_partition::{Partition, Side};
-use codesign_serve::protocol::escape;
 use codesign_serve::{JobError, JobRunner, Request, RunOutcome};
 use codesign_sim::engine::{Coordinator, CoordinatorStats, SimEngine, WatchdogConfig};
 use codesign_sim::error::SimError;
@@ -53,6 +52,7 @@ use codesign_sim::message::{
     simulate_traced, MessageConfig, MessageEngine, MessageReport, Placement, Resource,
 };
 use codesign_synth::mthread::{comm_aware_traced, MthreadConfig};
+use codesign_trace::json::escape;
 use codesign_trace::Tracer;
 
 use crate::resilience::{run_campaign_traced, CampaignConfig};

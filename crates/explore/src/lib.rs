@@ -56,65 +56,18 @@ pub use space::{sync_rounds_for, DesignSpace, SpaceConfig};
 use codesign_partition::Side;
 use codesign_sim::ladder::AbstractionLevel;
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a 64-bit hasher used for spec digests, cache keys,
-/// and generator substream derivation. Not cryptographic — it only needs
-/// to be stable across platforms and runs, which it is: the fold is pure
-/// integer arithmetic in byte order.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a(FNV_OFFSET)
-    }
-}
-
-impl Fnv1a {
-    /// A fresh hasher at the offset basis.
-    #[must_use]
-    pub fn new() -> Self {
-        Fnv1a::default()
-    }
-
-    /// Folds raw bytes into the state.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Folds a `u64` (little-endian) into the state.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Folds an `f64` (IEEE-754 bits) into the state.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write(&v.to_bits().to_le_bytes());
-    }
-
-    /// The current hash value.
-    #[must_use]
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
+/// The FNV-1a hasher behind spec digests, cache keys, and generator
+/// substream derivation.
+pub use codesign_trace::hash::Fnv1a;
 
 /// FNV-1a of a string, the substream-derivation helper: a generator
 /// stream for logical worker `w` in round `r` is seeded with
 /// `seed ^ fnv1a("worker:w:round:r")`, so streams are independent and
 /// adding a worker never perturbs another worker's draws.
+#[inline]
 #[must_use]
 pub fn fnv1a_str(s: &str) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(s.as_bytes());
-    h.finish()
+    codesign_trace::hash::fnv1a(s.as_bytes())
 }
 
 /// One candidate configuration of the co-design loop.
@@ -243,6 +196,14 @@ mod tests {
         h2.write_u64(7);
         h2.write_f64(1.5);
         assert_eq!(once, h2.finish());
+    }
+
+    #[test]
+    fn worker_substream_seed_is_pinned() {
+        // Worker 0, round 0 under the default seed: a moved value would
+        // change every exploration's candidate stream.
+        let seed = ExploreConfig::default().seed;
+        assert_eq!(seed ^ fnv1a_str("worker:0:round:0"), 0x7a57_0306_4089_7aeb);
     }
 
     #[test]

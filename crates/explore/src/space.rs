@@ -618,6 +618,20 @@ mod tests {
         assert!(a.cross_bytes > 0, "the boundary crossing is visible");
     }
 
+    /// Persisted cache files are keyed by these hashes: if they move,
+    /// every `CDEXEVC1` file written earlier silently stops warm-starting.
+    #[test]
+    fn cache_keys_are_pinned() {
+        let space = DesignSpace::new(chain(), SpaceConfig::default());
+        let p = point(vec![Side::Sw, Side::Hw, Side::Sw]);
+        assert_eq!(space.digest(), 0x7ac5_eb2a_91bb_35a6);
+        assert_eq!(space.key(&p), 0x99dd_b914_4673_e6a6);
+        assert_eq!(
+            space.class_key(&p.assignment, p.level),
+            0xa849_c120_1922_b209
+        );
+    }
+
     #[test]
     fn all_software_pays_no_area_and_crosses_nothing() {
         let space = DesignSpace::new(chain(), SpaceConfig::default());

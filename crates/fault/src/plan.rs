@@ -18,6 +18,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use codesign_trace::hash::fnv1a;
 use codesign_trace::{Arg, Tracer, TrackId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -204,18 +205,6 @@ pub struct FaultRecord {
     pub detail: String,
 }
 
-/// FNV-1a over the site name: cheap, stable, and good enough to spread
-/// site substreams across the seed space (StdRng then runs the result
-/// through SplitMix64).
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The seeded decision engine shared by every fault wrapper of one run.
 ///
 /// Each injection site draws from its own substream (created lazily,
@@ -265,7 +254,7 @@ impl FaultInjector {
         if !self.streams.contains_key(site) {
             self.streams.insert(
                 site.to_string(),
-                StdRng::seed_from_u64(self.seed ^ fnv1a(site)),
+                StdRng::seed_from_u64(self.seed ^ fnv1a(site.as_bytes())),
             );
         }
         self.streams.get_mut(site).expect("substream just inserted")

@@ -248,17 +248,9 @@ impl<'a> StateReader<'a> {
     }
 }
 
-/// FNV-1a over a byte slice — the workspace's standard content hash,
-/// used for checkpoint page identity and divergence digests.
-#[must_use]
-pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// FNV-1a over a byte slice, used for checkpoint page identity and
+/// divergence digests.
+pub use codesign_trace::hash::fnv1a as fnv1a_bytes;
 
 #[cfg(test)]
 mod tests {

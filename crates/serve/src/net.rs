@@ -23,7 +23,9 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::protocol::{escape, parse_request, reply_error};
+use codesign_trace::json::escape;
+
+use crate::protocol::{parse_request, reply_error};
 use crate::server::{Handle, JobRunner, Server, StatsSnapshot};
 
 /// What a dispatched line asked for.

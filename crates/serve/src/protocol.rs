@@ -31,6 +31,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use codesign_trace::json::escape;
+
 /// A scalar JSON value — the only value shape requests may carry.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -205,26 +207,6 @@ impl fmt::Display for RequestError {
 }
 
 impl std::error::Error for RequestError {}
-
-/// Escapes a string for embedding in a JSON string literal.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 // ---------------------------------------------------------------------
 // Parsing
@@ -589,6 +571,7 @@ mod tests {
         }
     }
 
+    /// The parser decodes everything the shared escaper encodes.
     #[test]
     fn string_escapes_round_trip() {
         let original = "line1\nline2\t\"quoted\" \\ end\u{1}";

@@ -8,6 +8,8 @@
 //! splitmix64 stream, never a wall clock — so a chaos campaign replays
 //! bit-identically and a property test can pin the bounds.
 
+use codesign_trace::hash::fnv1a;
+
 /// Retry policy for transient job failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryConfig {
@@ -44,12 +46,7 @@ fn splitmix64(x: u64) -> u64 {
 /// FNV-1a over a job id — the per-job key the jitter stream is split by.
 #[must_use]
 pub fn job_key(id: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in id.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    fnv1a(id.as_bytes())
 }
 
 /// The delay in milliseconds before retry number `retry` (0-based: the

@@ -13,6 +13,7 @@
 use std::fmt::Write as _;
 
 use codesign_isa::cpu::Cpu;
+use codesign_trace::hash::Fnv1a;
 
 use crate::adapters::{CpuEngine, FsmdEngine};
 use crate::engine::Coordinator;
@@ -58,20 +59,12 @@ pub fn coordinator_fingerprint(coord: &Coordinator, time: u64) -> String {
 /// debugger reuses it as a cheap per-checkpoint comparator.
 #[must_use]
 pub fn cpu_state_digest(cpu: &Cpu) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |byte: u8| {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut h = Fnv1a::new();
     for r in cpu.regs() {
-        for b in r.to_le_bytes() {
-            eat(b);
-        }
+        h.write(&r.to_le_bytes());
     }
-    for &b in cpu.mem() {
-        eat(b);
-    }
-    h
+    h.write(cpu.mem());
+    h.finish()
 }
 
 #[cfg(test)]

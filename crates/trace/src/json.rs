@@ -1,13 +1,15 @@
-//! Minimal JSON support: string quoting for the writer and a strict
-//! syntax validator so tests can assert emitted traces are well-formed
-//! without an external JSON dependency (the build is fully offline).
+//! Minimal JSON support: the workspace's one string escaper, and a
+//! strict syntax validator so tests can assert emitted traces are
+//! well-formed without an external JSON dependency (the build is fully
+//! offline).
 
-/// Quotes and escapes `s` as a JSON string literal (including the
-/// surrounding double quotes).
+/// Escapes `s` for embedding in a JSON string literal (without the
+/// surrounding double quotes): `"`, `\`, `\n`, `\r` and `\t` get their
+/// short escapes, other control characters `\u00XX`.
+#[inline]
 #[must_use]
-pub(crate) fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 8);
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -19,8 +21,12 @@ pub(crate) fn quote(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out.push('"');
     out
+}
+
+/// `s` as a JSON string literal, double quotes included.
+pub(crate) fn quote(s: &str) -> String {
+    format!("\"{}\"", escape(s))
 }
 
 /// Validates that `text` is a well-formed Chrome trace-event JSON
@@ -341,6 +347,20 @@ mod tests {
     fn quote_escapes_specials() {
         assert_eq!(quote("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(quote("\u{1}"), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn escape_covers_every_special_and_passes_the_rest() {
+        assert_eq!(
+            escape("line1\nline2\t\"quoted\" \\ end\r\u{1}"),
+            "line1\\nline2\\t\\\"quoted\\\" \\\\ end\\r\\u0001"
+        );
+        assert_eq!(escape("jé héllo ☃"), "jé héllo ☃");
+        let doc = format!(
+            "{{\"traceEvents\": [], \"s\": \"{}\"}}",
+            escape("\u{0}\u{1f}\"\\/")
+        );
+        validate_chrome_trace(&doc).unwrap();
     }
 
     #[test]

@@ -26,6 +26,10 @@
 //! counts (simulated cycles for the simulators, microseconds for
 //! wall-clock harnesses); each [`TrackId`] is one timeline, so units only
 //! need to be consistent *within* a track.
+//!
+//! Two small helpers every layer shares live here too, so each exists
+//! once: the FNV-1a content hash ([`hash`]) and the JSON string escaper
+//! ([`json::escape`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -34,7 +38,8 @@ use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-mod json;
+pub mod hash;
+pub mod json;
 
 pub use json::validate_chrome_trace;
 

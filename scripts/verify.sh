@@ -2,7 +2,7 @@
 # Repository verification: build, tests, and lints.
 #
 # Tier-1 (ROADMAP.md): release build + full test suite. Clippy runs over
-# every target (lib, bins, tests, benches) with warnings denied so lint
+# every target (libs, bins, tests, examples) with warnings denied so lint
 # debt cannot accumulate, and rustfmt is enforced so diffs stay clean.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -56,5 +56,12 @@ timeout --signal=KILL 300 cargo run --release -q -p codesign-bench --bin bench-s
 # first diverging seed.
 echo "== bench-replay smoke (time-travel checkpoint/restore + bisection) =="
 timeout --signal=KILL 300 cargo run --release -q -p codesign-bench --bin bench-replay -- --smoke
+
+# The benchmark BENCHMARK.json declares is its own workspace with its
+# own lock file: build it against the current crates with the lock held
+# fixed, and run its smoke tests, so an API change that breaks it (or
+# would rewrite its lock) fails here rather than in the next benchmark.
+echo "== perfbench tests (locked, offline) =="
+cargo test --release -q --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "verify: OK"
