@@ -49,6 +49,7 @@ fn render(report: &SweepReport, threads: usize) -> String {
             ("systems", report.systems.into()),
             ("seed", report.seed.into()),
             ("host_cores", jsonout::host_cores().into()),
+            ("git_rev", jsonout::git_rev().as_str().into()),
             ("threads", threads.into()),
             ("degenerate_systems", report.degenerate_systems.into()),
             ("engine_diffs", report.engine_diffs.into()),

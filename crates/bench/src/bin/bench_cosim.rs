@@ -24,6 +24,21 @@
 //! cargo run --release -p codesign-bench --bin bench-cosim [--smoke] [out.json]
 //! ```
 //!
+//! A second table, `kernels`, reports host throughput of the two
+//! simulators under every pin- and register-level run:
+//!
+//! - `gate_events` — gate-level events per second of the pin-level bus
+//!   phy ([`PinPhy`]) over a seeded transaction script;
+//! - `iss_instructions` — CR32 instructions per second of the ladder's
+//!   producer program against a bus carrying a draining FIFO and a free
+//!   running timer (every instruction ticks both devices).
+//!
+//! Each rate is the best of the timed iterations, because a shared host
+//! can run a whole minute ~40% slow. Its `before` column holds the rates
+//! the same code measured at commit `b7ad289` (binary-heap event queue,
+//! per-cycle device ticking) on a 2-vCPU x86-64 host, as recorded
+//! constants; compare `after` against it only on a like host.
+//!
 //! `--smoke` runs one timing iteration per cell and defaults the output
 //! under `target/`, so CI can exercise the full path without perturbing
 //! the checked-in `BENCH_cosim.json`.
@@ -34,11 +49,15 @@ use std::time::Instant;
 use codesign_bench::jsonout;
 use codesign_hls::{synthesize, Constraints};
 use codesign_ir::workload::kernels;
+use codesign_isa::asm::assemble;
+use codesign_isa::cpu::Cpu;
+use codesign_rtl::bus::{timer_regs, BusPhy, BusSlave, BusTiming, DrainFifo, SystemBus, Timer};
 use codesign_rtl::fsmd::FsmdSim;
 use codesign_sim::adapters::FsmdEngine;
 use codesign_sim::engine::{Coordinator, CoordinatorStats, SimEngine};
-use codesign_sim::ladder::{message_scenario, LadderConfig};
+use codesign_sim::ladder::{message_scenario, producer_program, LadderConfig};
 use codesign_sim::message::{MessageConfig, MessageEngine};
+use codesign_sim::pinproto::PinPhy;
 use codesign_synth::coproc::{characterize, process_network, Application};
 use codesign_synth::mthread::placement_for;
 
@@ -52,6 +71,14 @@ const BUDGET: u64 = 50_000_000;
 const INVOCATIONS: u32 = 12;
 /// Kernel invocations batched per frame (block processing).
 const BATCH: u32 = 8;
+
+/// Transactions in the gate-kernel script.
+const PIN_TRANSACTIONS: u64 = 20_000;
+/// Producer iterations of the ISS program.
+const ISS_ITERATIONS: u32 = 400;
+/// Host rates at commit `b7ad289` on a 2-vCPU x86-64 host: gate events
+/// per second, then ISS instructions per second.
+const BEFORE_PER_S: [f64; 2] = [1.66e7, 6.80e7];
 
 /// A scenario's engine set, rebuilt fresh for every timed run.
 type EngineSet = Vec<Box<dyn SimEngine>>;
@@ -167,6 +194,60 @@ fn ladder_scenario() -> impl Fn() -> EngineSet {
     }
 }
 
+/// Best-of-`iterations` host rate of `run`, which returns the work it
+/// did; the work must be the same every time.
+fn rate(iterations: u32, run: impl Fn() -> u64) -> (f64, u64) {
+    let work = run();
+    let mut best = f64::MAX;
+    for _ in 0..iterations {
+        let start = Instant::now();
+        assert_eq!(run(), work, "non-deterministic kernel run");
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    (work as f64 / best, work)
+}
+
+/// Gate-level events of the pin phy over a seeded transaction script.
+fn pin_script(transactions: u64) -> u64 {
+    let mut phy = PinPhy::new(&[(0x0000, 0x100), (0x0100, 0x100), (0x1000, 0x1000)])
+        .expect("interface netlist builds");
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    for _ in 0..transactions {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let r = state >> 16;
+        let addr = [0x0000u32, 0x0104, 0x1000, 0x1FFC][(r & 3) as usize];
+        phy.transaction(addr, r & 4 != 0, (r >> 8) as u32, (r >> 3) & 3);
+    }
+    phy.events()
+}
+
+/// Instructions the ladder's producer program retires against a bus
+/// with a draining FIFO and a free-running auto-reload timer.
+fn iss_run(iterations: u32) -> u64 {
+    let cfg = LadderConfig {
+        iterations,
+        ..LadderConfig::default()
+    };
+    let mut bus = SystemBus::new(BusTiming::default());
+    bus.map(
+        0x0,
+        0x100,
+        Box::new(DrainFifo::new(cfg.fifo_capacity, cfg.drain_period)),
+    )
+    .expect("fifo maps");
+    let mut timer = Timer::new();
+    timer.write(timer_regs::LOAD, 1_000);
+    timer.write(timer_regs::CTRL, 0b101); // enable, auto-reload, no irq
+    bus.map(0x100, 0x10, Box::new(timer)).expect("timer maps");
+    let program = assemble(&producer_program(&cfg)).expect("producer assembles");
+    let mut cpu = Cpu::new(4096);
+    cpu.attach_bus(bus);
+    cpu.load_program(&program);
+    cpu.run(u64::MAX).expect("producer halts").instructions
+}
+
 fn main() {
     let (smoke, out_path) =
         jsonout::smoke_args("BENCH_cosim.json", "target/BENCH_cosim_smoke.json");
@@ -231,11 +312,40 @@ fn main() {
             )
         })
         .collect();
+    let throughput: [(&str, &str, (f64, u64)); 2] = [
+        (
+            "gate_events",
+            "events_per_s",
+            rate(iterations, || {
+                pin_script(if smoke { 500 } else { PIN_TRANSACTIONS })
+            }),
+        ),
+        (
+            "iss_instructions",
+            "instructions_per_s",
+            rate(iterations, || {
+                iss_run(if smoke { 8 } else { ISS_ITERATIONS })
+            }),
+        ),
+    ];
+    let kernel_rows: Vec<String> = throughput
+        .iter()
+        .zip(BEFORE_PER_S)
+        .map(|(&(kernel, unit, (after, work)), before)| {
+            eprintln!("{kernel:>16}: {after:.3e} {unit} (before {before:.3e}), work {work}");
+            format!(
+                "{{\"kernel\": \"{kernel}\", \"unit\": \"{unit}\", \"work\": {work}, \
+                 \"before\": {before:.0}, \"after\": {after:.0}, \"speedup\": {:.2}}}",
+                after / before.max(1.0)
+            )
+        })
+        .collect();
     let json = jsonout::render(
         "cosim_lookahead",
         &[
             ("units", "ns_per_run".into()),
             ("host_cores", jsonout::host_cores().into()),
+            ("git_rev", jsonout::git_rev().as_str().into()),
             (
                 "before",
                 "pure-lockstep coordinator (one quantum per round, hints ignored)".into(),
@@ -243,6 +353,10 @@ fn main() {
             (
                 "after",
                 "lookahead coordinator (adaptive horizons, idle-skip, batched advancement)".into(),
+            ),
+            (
+                "kernels",
+                jsonout::Value::Raw(format!("[\n    {}\n  ]", kernel_rows.join(",\n    "))),
             ),
         ],
         &rendered,

@@ -201,6 +201,7 @@ fn main() {
             ("cadence_rounds", CADENCE.into()),
             ("snapshot_samples", u64::from(SNAP_SAMPLES).into()),
             ("host_cores", jsonout::host_cores().into()),
+            ("git_rev", jsonout::git_rev().as_str().into()),
             (
                 "bisect_total_probes",
                 Value::Num(total_bisect_probes.to_string()),

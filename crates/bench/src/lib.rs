@@ -120,6 +120,20 @@ pub mod jsonout {
             .unwrap_or(1)
     }
 
+    /// The commit the report was generated from (`git describe --always
+    /// --dirty`), or `unknown` outside a git checkout — every benchmark
+    /// records it next to `host_cores`.
+    #[must_use]
+    pub fn git_rev() -> String {
+        std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map_or_else(|| "unknown".into(), |s| s.trim().to_string())
+    }
+
     /// Renders the standard benchmark document: the `"benchmark"` name,
     /// the typed `headers` in order, then `rows` (each a preformatted
     /// JSON object, no trailing comma) under `"results"`.

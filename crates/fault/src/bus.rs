@@ -30,8 +30,8 @@ pub struct FaultySlave {
     plan: FaultPlan,
     injector: SharedInjector,
     site: String,
-    /// Device-local clock, advanced by [`BusSlave::tick`]; timestamps
-    /// the fault records.
+    /// Device-local clock, advanced by [`BusSlave::tick`] and
+    /// [`BusSlave::advance`]; timestamps the fault records.
     cycles: u64,
     /// Whether the wrapped device's IRQ line was high at the previous
     /// sample (drives the duplicated-delivery model). A `Cell` because
@@ -116,6 +116,13 @@ impl BusSlave for FaultySlave {
     fn tick(&mut self) {
         self.cycles += 1;
         self.inner.tick();
+    }
+
+    fn advance(&mut self, n: u64) {
+        // Ticking draws no randomness, so the wrapper's clock and the
+        // wrapped device catch up in one step each.
+        self.cycles += n;
+        self.inner.advance(n);
     }
 
     fn irq_pending(&self) -> bool {

@@ -7,11 +7,17 @@
 //!    fault records);
 //! 3. the coordinator's no-progress watchdog never fires on healthy
 //!    random engine mixes, including mixes wrapped in quiet fault
-//!    wrappers.
+//!    wrappers;
+//! 4. a wrapped device caught up by one `advance(n)` logs the same
+//!    faults, with the same cycle stamps, as one ticked `n` times.
 
-use codesign_fault::{shared, FaultPlan, FaultyEngine, FaultyPhy, FaultySlave, MessageFaultHook};
+use codesign_fault::{
+    shared, FaultPlan, FaultyEngine, FaultyPhy, FaultySlave, IrqRates, MessageFaultHook,
+    RegisterRates,
+};
 use codesign_ir::workload::tgff::{random_process_network, NetworkConfig};
-use codesign_rtl::bus::{fifo_regs, BusTiming, DrainFifo, SystemBus};
+use codesign_rtl::bus::{fifo_regs, timer_regs, BusSlave, BusTiming, DrainFifo, SystemBus, Timer};
+use codesign_rtl::state::StateWriter;
 use codesign_sim::engine::{Coordinator, SimEngine};
 use codesign_sim::message::{MessageConfig, MessageEngine, Placement, Resource};
 use codesign_sim::SimError;
@@ -171,8 +177,87 @@ fn run_bus(ops: &[(bool, u8)], wrapped: bool) -> String {
     fp
 }
 
+/// Drives a timer and a FIFO, each behind a [`FaultySlave`] under an
+/// armed plan, through `ops` — register writes, reads, `n`-cycle
+/// catch-ups (one `advance(n)`, or `n` ticks with `per_cycle`), and irq
+/// samples — and fingerprints every value seen, the fault log and the
+/// end state.
+fn run_armed(ops: &[(u8, u32)], seed: u64, per_cycle: bool) -> String {
+    let plan = FaultPlan {
+        register: RegisterRates {
+            corrupt_read: 0.05,
+            corrupt_write: 0.05,
+        },
+        irq: IrqRates {
+            drop: 0.1,
+            duplicate: 0.2,
+            spurious: 0.05,
+        },
+        ..FaultPlan::quiet()
+    };
+    let injector = shared(seed);
+    let mut devices = [
+        FaultySlave::new(Box::new(Timer::new()), plan, injector.clone()),
+        FaultySlave::new(Box::new(DrainFifo::new(6, 5)), plan, injector.clone()),
+    ];
+    let mut fp = String::new();
+    for &(op, v) in ops {
+        let dev = &mut devices[usize::from(op & 1)];
+        match op >> 1 & 3 {
+            0 if op & 1 == 0 => {
+                dev.write(timer_regs::LOAD, v % 9);
+                dev.write(timer_regs::CTRL, v >> 4 & 7);
+            }
+            0 => dev.write(fifo_regs::DATA, v),
+            1 => fp.push_str(&format!("{};", dev.read(v % 3 * 4))),
+            2 => {
+                let n = u64::from(v % 13);
+                if per_cycle {
+                    for _ in 0..n {
+                        dev.tick();
+                    }
+                } else {
+                    dev.advance(n);
+                }
+            }
+            _ => fp.push_str(&format!("{};", dev.irq_pending())),
+        }
+    }
+    for dev in &devices {
+        let mut w = StateWriter::new();
+        dev.save_state(&mut w);
+        fp.push_str(&format!("{:?};", w.into_bytes()));
+    }
+    fp.push_str(&format!("{:?}", injector.borrow().records()));
+    fp
+}
+
+/// Contract 4 is not vacuous: a fixed script under the armed plan logs
+/// register and interrupt faults whose stamps depend on device time.
+#[test]
+fn armed_script_logs_faults_at_device_cycles() {
+    let ops: Vec<(u8, u32)> = (0..200u32)
+        .map(|i| ((i.wrapping_mul(2_654_435_761) >> 7) as u8, i * 37 + 11))
+        .collect();
+    let advanced = run_armed(&ops, 5, false);
+    for kind in ["CorruptRead", "CorruptWrite", "IrqSpurious"] {
+        assert!(advanced.contains(kind), "no {kind} in {advanced}");
+    }
+    assert_eq!(advanced, run_armed(&ops, 5, true));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Contract 4: catching up in one step is invisible to an armed
+    /// plan — same values, same faults at the same device cycles.
+    #[test]
+    fn armed_slave_advance_matches_ticking(
+        ops in prop::collection::vec((any::<u8>(), any::<u32>()), 1..80),
+        seed in any::<u64>(),
+    ) {
+        prop_assert_eq!(run_armed(&ops, seed, false), run_armed(&ops, seed, true));
+    }
 
     /// Contract 1a: an empty plan hooked into the message engine is
     /// bit-identical to no hook at all.

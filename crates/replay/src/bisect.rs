@@ -6,12 +6,12 @@
 //! `i` means the same simulated horizon in both; lookahead leaping would
 //! let the two runs take differently sized rounds and misalign the
 //! indices. Checkpoints are recorded at the session cadence, compared by
-//! whole-blob digest during the binary search, and the exact round is
-//! then pinned by restoring both runs to the last agreeing checkpoint
-//! and replaying round by round. Only the **coordinator** section of
-//! each blob is compared — the injector's fault log legitimately differs
-//! between a quiet and a faulted run and must not read as state
-//! divergence.
+//! a digest of their coordinator section during the binary search, and
+//! the exact round is then pinned by restoring both runs to the last
+//! agreeing checkpoint and replaying round by round. Only the
+//! **coordinator** section of each blob is compared — the injector's
+//! fault log legitimately differs between a quiet and a faulted run and
+//! must not read as state divergence.
 //!
 //! A run that *errors* (a detected fault, a budget timeout, the
 //! watchdog) is treated as ending at that round: its state freezes
@@ -169,7 +169,7 @@ pub fn bisect_divergence(
         g.s.store()
             .steps()
             .into_iter()
-            .filter(|&s| s <= rounds && f.s.store().digest(s).is_some())
+            .filter(|&s| s <= rounds && f.s.store().contains(s))
             .collect();
     let mut first_bad_idx = None;
     let (mut lo, mut hi) = (0usize, grid.len());

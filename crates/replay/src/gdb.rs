@@ -182,7 +182,7 @@ impl DebugSession {
 
     fn note_checkpoint(&mut self) {
         let step = self.session.current_step();
-        if self.session.store().digest(step).is_some() {
+        if self.session.store().contains(step) {
             let instrs = self.cpu().stats().instructions;
             self.instrs_at.insert(step, instrs);
         }

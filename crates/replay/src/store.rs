@@ -8,6 +8,10 @@
 //! footprint grows with the *rate of change* of simulation state, not
 //! with the number of checkpoints. This is what makes a dense checkpoint
 //! cadence — and therefore cheap reverse execution — affordable.
+//!
+//! Inserting compares each page with the same page of the previous
+//! insert first and reuses its reference when the bytes are equal, so
+//! only pages that changed are hashed.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -31,8 +35,6 @@ struct PageRef {
 struct Checkpoint {
     pages: Vec<PageRef>,
     len: usize,
-    /// FNV-1a over the whole blob, for cheap divergence probes.
-    digest: u64,
 }
 
 /// Aggregate store statistics (for `BENCH_replay.json` and diagnostics).
@@ -72,6 +74,9 @@ pub struct StateStore {
     pages: HashMap<u64, Vec<Box<[u8]>>>,
     /// Step-indexed checkpoint history.
     checkpoints: BTreeMap<u64, Checkpoint>,
+    /// The most recently inserted step, whose pages the next insert
+    /// compares against.
+    last: Option<u64>,
 }
 
 impl StateStore {
@@ -82,6 +87,7 @@ impl StateStore {
             page_size: page_size.max(1),
             pages: HashMap::new(),
             checkpoints: BTreeMap::new(),
+            last: None,
         }
     }
 
@@ -95,21 +101,15 @@ impl StateStore {
     /// against everything already stored. Re-inserting the same step
     /// replaces its checkpoint (identical bytes are a no-op in space).
     pub fn insert(&mut self, step: u64, blob: &[u8]) {
-        let digest = fnv1a_bytes(blob);
+        let prev = self
+            .last
+            .and_then(|s| self.checkpoints.get(&s))
+            .map_or(&[][..], |c| &c.pages[..]);
         let mut pages = Vec::with_capacity(blob.len().div_ceil(self.page_size));
-        for chunk in blob.chunks(self.page_size) {
-            let hash = fnv1a_bytes(chunk);
-            let bucket = self.pages.entry(hash).or_default();
-            let idx = match bucket.iter().position(|p| &**p == chunk) {
-                Some(i) => i,
-                None => {
-                    bucket.push(chunk.to_vec().into_boxed_slice());
-                    bucket.len() - 1
-                }
-            };
-            pages.push(PageRef {
-                hash,
-                bucket: u32::try_from(idx).expect("bucket chains stay tiny"),
+        for (i, chunk) in blob.chunks(self.page_size).enumerate() {
+            pages.push(match prev.get(i) {
+                Some(&r) if *self.pages[&r.hash][r.bucket as usize] == *chunk => r,
+                _ => intern(&mut self.pages, chunk),
             });
         }
         self.checkpoints.insert(
@@ -117,9 +117,9 @@ impl StateStore {
             Checkpoint {
                 pages,
                 len: blob.len(),
-                digest,
             },
         );
+        self.last = Some(step);
     }
 
     /// Reassembles the checkpoint stored for exactly `step`.
@@ -134,11 +134,10 @@ impl StateStore {
         Some(blob)
     }
 
-    /// The whole-blob digest of the checkpoint at `step` (a divergence
-    /// probe without reassembly).
+    /// Whether a checkpoint is stored for exactly `step`.
     #[must_use]
-    pub fn digest(&self, step: u64) -> Option<u64> {
-        self.checkpoints.get(&step).map(|c| c.digest)
+    pub fn contains(&self, step: u64) -> bool {
+        self.checkpoints.contains_key(&step)
     }
 
     /// The latest checkpointed step at or before `step`.
@@ -178,6 +177,24 @@ impl StateStore {
                 .map(|c| c.pages.len() as u64)
                 .sum(),
         }
+    }
+}
+
+/// The reference of the stored page equal to `chunk`, storing it first
+/// if it is new.
+fn intern(pages: &mut HashMap<u64, Vec<Box<[u8]>>>, chunk: &[u8]) -> PageRef {
+    let hash = fnv1a_bytes(chunk);
+    let bucket = pages.entry(hash).or_default();
+    let idx = match bucket.iter().position(|p| **p == *chunk) {
+        Some(i) => i,
+        None => {
+            bucket.push(chunk.into());
+            bucket.len() - 1
+        }
+    };
+    PageRef {
+        hash,
+        bucket: u32::try_from(idx).expect("bucket chains stay tiny"),
     }
 }
 
@@ -236,14 +253,19 @@ mod tests {
     }
 
     #[test]
-    fn digests_differ_when_content_differs() {
+    fn contains_tracks_steps_and_changed_pages_round_trip() {
         let mut store = StateStore::new(16);
         store.insert(0, b"aaaa");
         store.insert(1, b"aaab");
         store.insert(2, b"aaaa");
-        assert_ne!(store.digest(0), store.digest(1));
-        assert_eq!(store.digest(0), store.digest(2));
-        assert_eq!(store.digest(3), None);
+        assert!(store.contains(0) && store.contains(1) && store.contains(2));
+        assert!(!store.contains(3));
+        // A page that differs from the previous insert's is stored anew;
+        // one that returns to earlier bytes dedups against them.
+        assert_eq!(store.get(0).unwrap(), b"aaaa");
+        assert_eq!(store.get(1).unwrap(), b"aaab");
+        assert_eq!(store.get(2).unwrap(), b"aaaa");
+        assert_eq!(store.stats().unique_pages, 2);
     }
 
     #[test]
@@ -256,5 +278,69 @@ mod tests {
         store.insert(0, &blob);
         assert_eq!(store.get(0).unwrap(), blob);
         assert_eq!(store.stats().unique_pages, 256);
+    }
+
+    /// Blobs of a checkpointed run: mostly-stable bytes with a few dirty
+    /// words per step, a length change, a return to earlier content and
+    /// a re-inserted step.
+    fn scripted_blobs() -> Vec<(u64, Vec<u8>)> {
+        let mut state = 0x5EEDu64;
+        let mut blob: Vec<u8> = (0..1500u32).map(|i| (i * 7 % 251) as u8).collect();
+        let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
+        for step in 0..40u64 {
+            for _ in 0..step % 4 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let at = (state >> 33) as usize % blob.len();
+                blob[at] ^= (state >> 8) as u8 | 1;
+            }
+            if step == 17 {
+                blob.extend_from_slice(&[0xEE; 300]);
+            }
+            if step == 29 {
+                blob.truncate(1100);
+            }
+            let saved = if step == 33 {
+                out[5].1.clone()
+            } else {
+                blob.clone()
+            };
+            out.push((step * 8, saved));
+        }
+        out.push((8, blob));
+        out
+    }
+
+    /// `(checkpoints, logical_bytes, stored_bytes, unique_pages,
+    /// total_pages)` and the FNV-1a of every checkpoint's bytes in step
+    /// order, as the store that hashed every page of every insert
+    /// produced them for [`scripted_blobs`].
+    const STORE_GOLDEN_STATS: (usize, u64, u64, usize, u64) = (40, 59_200, 14_208, 59, 253);
+    const STORE_GOLDEN_BYTES: u64 = 1_097_919_633_769_117_612;
+
+    #[test]
+    fn scripted_checkpoints_reproduce_the_stats_of_hashing_every_page() {
+        let mut store = StateStore::new(DEFAULT_PAGE_SIZE);
+        let blobs = scripted_blobs();
+        for (step, blob) in &blobs {
+            store.insert(*step, blob);
+        }
+        let mut round_trip = Vec::new();
+        for step in store.steps() {
+            round_trip.extend(store.get(step).unwrap());
+        }
+        let s = store.stats();
+        assert_eq!(
+            (
+                s.checkpoints,
+                s.logical_bytes,
+                s.stored_bytes,
+                s.unique_pages,
+                s.total_pages
+            ),
+            STORE_GOLDEN_STATS
+        );
+        assert_eq!(fnv1a_bytes(&round_trip), STORE_GOLDEN_BYTES);
     }
 }

@@ -28,6 +28,14 @@ pub trait BusSlave: std::fmt::Debug {
     fn write(&mut self, offset: u32, value: u32);
     /// Advances the device by one bus-clock cycle.
     fn tick(&mut self) {}
+    /// Advances the device by `n` bus-clock cycles, leaving exactly the
+    /// state `n` calls of [`BusSlave::tick`] would (the default). Devices
+    /// with a closed form override it so catching up costs one call.
+    fn advance(&mut self, n: u64) {
+        for _ in 0..n {
+            self.tick();
+        }
+    }
     /// Whether the device is requesting an interrupt.
     fn irq_pending(&self) -> bool {
         false
@@ -417,12 +425,12 @@ impl SystemBus {
         Ok(cycles)
     }
 
-    /// Advances every mapped device by `cycles` bus-clock cycles.
+    /// Advances every mapped device by `cycles` bus-clock cycles. Devices
+    /// do not interact between accesses, so each catches up on its own
+    /// through [`BusSlave::advance`].
     pub fn tick(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            for m in &mut self.mappings {
-                m.slave.tick();
-            }
+        for m in &mut self.mappings {
+            m.slave.advance(cycles);
         }
     }
 
@@ -772,6 +780,26 @@ impl BusSlave for Timer {
         }
     }
 
+    fn advance(&mut self, n: u64) {
+        if !self.enabled || self.value == 0 {
+            return;
+        }
+        let value = u64::from(self.value);
+        if n < value {
+            self.value -= n as u32;
+            return;
+        }
+        // The countdown expires at tick `value`, then every `load` ticks
+        // while auto-reload refills it.
+        self.irq = true;
+        self.value = if self.auto_reload && self.load > 0 {
+            let load = u64::from(self.load);
+            (load - (n - value) % load) as u32
+        } else {
+            0
+        };
+    }
+
     fn irq_pending(&self) -> bool {
         self.irq_enable && self.irq
     }
@@ -967,6 +995,10 @@ impl BusSlave for CoprocessorPort {
         self.sim.tick();
     }
 
+    fn advance(&mut self, n: u64) {
+        self.sim.run_ticks(n);
+    }
+
     fn irq_pending(&self) -> bool {
         self.irq_enable && self.started && self.sim.status() == FsmdStatus::Done
     }
@@ -1102,6 +1134,19 @@ impl BusSlave for DrainFifo {
         }
     }
 
+    fn advance(&mut self, n: u64) {
+        if n < self.countdown {
+            self.countdown -= n;
+            return;
+        }
+        // The drain engine fires at tick `countdown`, then every period.
+        let fired = 1 + (n - self.countdown) / self.drain_period;
+        self.countdown = self.drain_period - (n - self.countdown) % self.drain_period;
+        let popped = usize::try_from(fired).map_or(self.queue.len(), |f| f.min(self.queue.len()));
+        self.queue.drain(..popped);
+        self.drained += popped as u64;
+    }
+
     fn wait_states(&self) -> u64 {
         // Congestion-dependent ready delay.
         let fill = self.queue.len() * 4 / self.capacity.max(1);
@@ -1127,7 +1172,16 @@ impl BusSlave for DrainFifo {
         for _ in 0..n {
             self.queue.push_back(r.u32()?);
         }
-        self.countdown = r.u64()?;
+        let countdown = r.u64()?;
+        if countdown == 0 || countdown > self.drain_period {
+            return Err(RtlError::State {
+                reason: format!(
+                    "fifo countdown {countdown} outside 1..={}",
+                    self.drain_period
+                ),
+            });
+        }
+        self.countdown = countdown;
         self.drained = r.u64()?;
         Ok(())
     }

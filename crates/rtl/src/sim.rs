@@ -14,8 +14,7 @@
 //! the "computationally expensive" currency the paper attributes to
 //! modeling "activity on the pins" (Section 3.1).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use crate::error::RtlError;
 use crate::netlist::{NetId, Netlist};
@@ -24,24 +23,19 @@ use crate::state::{StateReader, StateWriter};
 /// Maximum delta iterations per timestamp before declaring oscillation.
 const DELTA_LIMIT: usize = 1_000;
 
+/// A queued transition. Its time is the time of the bucket holding it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Event {
-    time: u64,
     seq: u64,
     net: NetId,
     value: bool,
 }
 
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// Every transition queued for one timestamp, in `seq` order.
+#[derive(Debug)]
+struct Bucket {
+    time: u64,
+    events: Vec<Event>,
 }
 
 /// An event-driven simulator owning a snapshot of a [`Netlist`].
@@ -50,22 +44,38 @@ impl PartialOrd for Event {
 /// re-evaluates, pending transitions of its output scheduled at or after
 /// the new transition's time are cancelled, so a glitch narrower than
 /// the gate delay is swallowed while wider pulses propagate.
+///
+/// The event queue is a list of per-timestamp FIFO buckets sorted by
+/// time. Every queued time lies in `[time, time + max gate delay]`, so
+/// the list stays short, and sequence numbers are handed out in append
+/// order, so popping each bucket front to back pops events in
+/// `(time, seq)` order. A cancelled transition stays in its bucket; it
+/// is live exactly while its `seq` is still in its net's `pending`
+/// list, which is what the pop path checks.
 #[derive(Debug)]
 pub struct Simulator {
     netlist: Netlist,
     values: Vec<bool>,
     /// net index -> indices of gates with that net as an input
     fanout: Vec<Vec<usize>>,
-    queue: BinaryHeap<Reverse<Event>>,
-    /// per net: in-flight transitions `(time, seq, value)` sorted by time
+    /// Largest gate delay: the width of the window queued times lie in.
+    max_delay: u64,
+    queue: VecDeque<Bucket>,
+    /// Emptied bucket storage, reused by the next new timestamp.
+    spare: Vec<Vec<Event>>,
+    /// per net: in-flight transitions `(time, seq, value)`, times
+    /// strictly increasing
     pending: Vec<Vec<(u64, u64, bool)>>,
-    /// per event seq: cancelled by a later re-evaluation
-    stale: Vec<bool>,
     time: u64,
     seq: u64,
     events: u64,
     /// recorded value changes `(time, net, value)` when tracing
     trace: Option<Vec<(u64, NetId, bool)>>,
+    /// Scratch buffers reused across evaluations, deltas and clocks.
+    ins: Vec<bool>,
+    changed: Vec<NetId>,
+    gates: Vec<usize>,
+    sampled: Vec<(NetId, bool)>,
 }
 
 impl Simulator {
@@ -98,13 +108,18 @@ impl Simulator {
             netlist: netlist.clone(),
             values,
             fanout,
-            queue: BinaryHeap::new(),
+            max_delay: netlist.gates().iter().map(|g| g.delay).max().unwrap_or(0),
+            queue: VecDeque::new(),
+            spare: Vec::new(),
             pending: vec![Vec::new(); n],
-            stale: Vec::new(),
             time: 0,
             seq: 0,
             events: 0,
             trace: None,
+            ins: Vec::new(),
+            changed: Vec::new(),
+            gates: Vec::new(),
+            sampled: Vec::new(),
         };
         // Evaluate all gates once so outputs become consistent with the
         // initial input values as soon as the caller settles or runs.
@@ -127,14 +142,14 @@ impl Simulator {
     }
 
     /// Time of the event-queue head — the earliest queued transition, if
-    /// any. The head may be a cancelled (stale) transition, in which case
+    /// any. The head may be a cancelled transition, in which case
     /// this is an earlier-or-equal lower bound on the true next activity;
     /// either way nothing can happen strictly before the returned time,
     /// which is exactly what a conservative co-simulation lookahead hint
     /// needs. `None` means the netlist is fully quiescent.
     #[must_use]
     pub fn next_event_time(&self) -> Option<u64> {
-        self.queue.peek().map(|&Reverse(ev)| ev.time)
+        self.queue.front().map(|b| b.time)
     }
 
     /// Current value of a net.
@@ -175,29 +190,37 @@ impl Simulator {
     fn schedule(&mut self, time: u64, net: NetId, value: bool) {
         let pend = &mut self.pending[net.index()];
         while pend.last().is_some_and(|&(t, _, _)| t >= time) {
-            let (_, seq, _) = pend.pop().expect("just checked");
-            self.stale[seq as usize] = true;
+            pend.pop();
         }
         let projected = pend.last().map_or(self.values[net.index()], |&(_, _, v)| v);
         if value == projected {
             return;
         }
-        let ev = Event {
-            time,
-            seq: self.seq,
-            net,
-            value,
-        };
+        let seq = self.seq;
         self.seq += 1;
-        self.stale.push(false);
-        pend.push((time, ev.seq, value));
-        self.queue.push(Reverse(ev));
+        pend.push((time, seq, value));
+        self.enqueue(time, Event { seq, net, value });
+    }
+
+    /// Appends `ev` to the bucket for `time`, creating the bucket if
+    /// this is the first transition queued for that timestamp.
+    fn enqueue(&mut self, time: u64, ev: Event) {
+        match self.queue.binary_search_by_key(&time, |b| b.time) {
+            Ok(i) => self.queue[i].events.push(ev),
+            Err(i) => {
+                let mut events = self.spare.pop().unwrap_or_default();
+                events.push(ev);
+                self.queue.insert(i, Bucket { time, events });
+            }
+        }
     }
 
     fn schedule_gate(&mut self, gi: usize) {
         let gate = &self.netlist.gates()[gi];
-        let ins: Vec<bool> = gate.inputs.iter().map(|n| self.values[n.index()]).collect();
-        let out = gate.kind.eval(&ins);
+        self.ins.clear();
+        self.ins
+            .extend(gate.inputs.iter().map(|n| self.values[n.index()]));
+        let out = gate.kind.eval(&self.ins);
         let (t, net) = (self.time + gate.delay, gate.output);
         self.schedule(t, net, out);
     }
@@ -210,8 +233,8 @@ impl Simulator {
     /// Returns [`RtlError::Oscillation`] if a zero-delay loop prevents the
     /// logic from settling.
     pub fn settle(&mut self) -> Result<(), RtlError> {
-        while let Some(&Reverse(ev)) = self.queue.peek() {
-            self.time = self.time.max(ev.time);
+        while let Some(t) = self.next_event_time() {
+            self.time = self.time.max(t);
             self.process_timestamp()?;
         }
         Ok(())
@@ -226,11 +249,11 @@ impl Simulator {
     /// logic from settling.
     pub fn run_for(&mut self, duration: u64) -> Result<(), RtlError> {
         let deadline = self.time + duration;
-        while let Some(&Reverse(ev)) = self.queue.peek() {
-            if ev.time > deadline {
+        while let Some(t) = self.next_event_time() {
+            if t > deadline {
                 break;
             }
-            self.time = ev.time;
+            self.time = t;
             self.process_timestamp()?;
         }
         self.time = deadline;
@@ -240,55 +263,56 @@ impl Simulator {
     /// Processes all events at the current earliest timestamp, including
     /// delta iterations caused by zero-delay gates.
     fn process_timestamp(&mut self) -> Result<(), RtlError> {
-        let Some(&Reverse(first)) = self.queue.peek() else {
+        let Some(now) = self.next_event_time() else {
             return Ok(());
         };
-        let now = first.time;
         self.time = now;
         let mut deltas = 0usize;
         loop {
-            let mut changed: Vec<NetId> = Vec::new();
-            while let Some(&Reverse(ev)) = self.queue.peek() {
-                if ev.time != now {
-                    break;
-                }
-                let Reverse(ev) = self.queue.pop().expect("peeked");
-                if self.stale[ev.seq as usize] {
+            // Everything queued at `now` so far; zero-delay responses to
+            // this delta land in a fresh bucket at `now`.
+            let Some(mut bucket) = self.queue.pop_front() else {
+                return Ok(());
+            };
+            self.changed.clear();
+            for &ev in &bucket.events {
+                let pend = &mut self.pending[ev.net.index()];
+                // Pending times strictly increase and none lies before
+                // `now`, so a live event is its net's first entry.
+                if pend.first().is_none_or(|&(_, s, _)| s != ev.seq) {
                     continue;
                 }
-                let pend = &mut self.pending[ev.net.index()];
-                if let Some(pos) = pend.iter().position(|&(_, s, _)| s == ev.seq) {
-                    pend.remove(pos);
-                }
+                pend.remove(0);
                 if self.values[ev.net.index()] != ev.value {
                     self.values[ev.net.index()] = ev.value;
                     self.events += 1;
                     if let Some(trace) = &mut self.trace {
                         trace.push((now, ev.net, ev.value));
                     }
-                    changed.push(ev.net);
+                    self.changed.push(ev.net);
                 }
             }
-            if changed.is_empty() {
+            bucket.events.clear();
+            self.spare.push(bucket.events);
+            if self.changed.is_empty() {
                 return Ok(());
             }
             deltas += 1;
             if deltas > DELTA_LIMIT {
                 return Err(RtlError::Oscillation { time: now });
             }
-            let mut gates: Vec<usize> = changed
-                .iter()
-                .flat_map(|n| self.fanout[n.index()].iter().copied())
-                .collect();
-            gates.sort_unstable();
-            gates.dedup();
-            for gi in gates {
-                self.schedule_gate(gi);
+            self.gates.clear();
+            for n in &self.changed {
+                self.gates.extend_from_slice(&self.fanout[n.index()]);
+            }
+            self.gates.sort_unstable();
+            self.gates.dedup();
+            for i in 0..self.gates.len() {
+                self.schedule_gate(self.gates[i]);
             }
             // Zero-delay outputs landed back at `now`; loop to absorb them.
-            match self.queue.peek() {
-                Some(&Reverse(ev)) if ev.time == now => {}
-                _ => return Ok(()),
+            if self.next_event_time() != Some(now) {
+                return Ok(());
             }
         }
     }
@@ -297,7 +321,7 @@ impl Simulator {
     /// values, and the in-flight (non-cancelled) transitions. Static
     /// structure (the netlist, fanout) is not written; a checkpoint
     /// restores into a simulator built from the same netlist. Cancelled
-    /// (stale) events are dropped — they are behavioral no-ops — so
+    /// events are dropped — they are behavioral no-ops — so
     /// identical logical state always serializes to identical bytes.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.u64(self.time);
@@ -326,24 +350,54 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`RtlError::State`] on truncated bytes or a net-count
-    /// mismatch (checkpoint from a structurally different netlist).
+    /// Returns [`RtlError::State`] on truncated bytes, a net-count
+    /// mismatch (checkpoint from a structurally different netlist),
+    /// counters no run could reach (`seq` at or past 2^63, more events
+    /// than scheduled transitions), or a pending transition no run could
+    /// have left: a `seq` not below the restored `seq`, a time outside
+    /// `[time, time + max gate delay]`, or times that do not strictly
+    /// increase along a net. The simulator is unchanged on error.
     pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), RtlError> {
+        let bad = |reason: String| RtlError::State { reason };
         let time = r.u64()?;
         let seq = r.u64()?;
         let events = r.u64()?;
+        // 2^63 transitions is centuries of simulation at any host speed.
+        if seq >= 1 << 63 || events > seq {
+            return Err(bad(format!("counters seq {seq}, events {events}")));
+        }
         let n = r.seq(Some(self.values.len()))?;
         let mut values = Vec::with_capacity(n);
         for _ in 0..n {
             values.push(r.bool()?);
         }
+        let horizon = time.saturating_add(self.max_delay);
         let pn = r.seq(Some(self.pending.len()))?;
         let mut pending: Vec<Vec<(u64, u64, bool)>> = Vec::with_capacity(pn);
-        for _ in 0..pn {
+        let mut live: Vec<(u64, u64, NetId, bool)> = Vec::new();
+        for ni in 0..pn {
             let k = r.seq(None)?;
+            // Strictly increasing times in a window of `max_delay + 1`
+            // timestamps bound the count before anything is allocated.
+            if u64::try_from(k).map_or(true, |k| k > self.max_delay.saturating_add(1)) {
+                return Err(bad(format!("net {ni}: {k} pending transitions")));
+            }
             let mut pend = Vec::with_capacity(k);
             for _ in 0..k {
-                pend.push((r.u64()?, r.u64()?, r.bool()?));
+                let (t, s, v) = (r.u64()?, r.u64()?, r.bool()?);
+                if s >= seq {
+                    return Err(bad(format!("net {ni}: pending seq {s} >= seq {seq}")));
+                }
+                if t < time || t > horizon {
+                    return Err(bad(format!(
+                        "net {ni}: pending time {t} outside [{time}, {horizon}]"
+                    )));
+                }
+                if pend.last().is_some_and(|&(last, _, _)| last >= t) {
+                    return Err(bad(format!("net {ni}: pending times not increasing")));
+                }
+                pend.push((t, s, v));
+                live.push((t, s, NetId(ni as u32), v));
             }
             pending.push(pend);
         }
@@ -351,21 +405,16 @@ impl Simulator {
         self.seq = seq;
         self.events = events;
         self.values = values;
-        // Every live transition was queued once; stale slots belong to
-        // dropped (cancelled) events and stay marked.
-        self.stale = vec![true; usize::try_from(seq).unwrap_or(usize::MAX)];
-        self.queue = BinaryHeap::new();
         self.pending = pending;
-        for (ni, pend) in self.pending.iter().enumerate() {
-            for &(t, s, v) in pend {
-                self.stale[s as usize] = false;
-                self.queue.push(Reverse(Event {
-                    time: t,
-                    seq: s,
-                    net: NetId(ni as u32),
-                    value: v,
-                }));
-            }
+        // Cancelled transitions were dropped at save time; the live ones
+        // re-enter the buckets in `(time, seq)` order.
+        live.sort_unstable_by_key(|&(t, s, net, _)| (t, s, net));
+        for mut bucket in self.queue.drain(..) {
+            bucket.events.clear();
+            self.spare.push(bucket.events);
+        }
+        for (t, s, net, value) in live {
+            self.enqueue(t, Event { seq: s, net, value });
         }
         Ok(())
     }
@@ -448,13 +497,15 @@ impl Simulator {
     pub fn clock_cycle(&mut self, period: u64) -> Result<(), RtlError> {
         // Everything still in flight this cycle must settle first.
         self.run_for(period)?;
-        let sampled: Vec<(NetId, bool)> = self
-            .netlist
-            .dffs()
-            .iter()
-            .map(|dff| (dff.q, self.values[dff.d.index()]))
-            .collect();
-        for (q, v) in sampled {
+        self.sampled.clear();
+        self.sampled.extend(
+            self.netlist
+                .dffs()
+                .iter()
+                .map(|dff| (dff.q, self.values[dff.d.index()])),
+        );
+        for i in 0..self.sampled.len() {
+            let (q, v) = self.sampled[i];
             self.schedule(self.time, q, v);
         }
         self.settle()
@@ -687,6 +738,97 @@ mod tests {
         assert_eq!(values.get("\""), Some(&true), "b high");
         assert_eq!(values.get("#"), Some(&false), "sum = a^b = 0");
         assert_eq!(values.get("$"), Some(&true), "carry = a&b = 1");
+    }
+
+    /// A checkpoint blob in `save_state`'s layout.
+    fn blob(time: u64, seq: u64, events: u64, pending: &[&[(u64, u64, bool)]]) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        w.u64(time);
+        w.u64(seq);
+        w.u64(events);
+        w.seq(pending.len());
+        for _ in pending {
+            w.bool(false);
+        }
+        w.seq(pending.len());
+        for pend in pending {
+            w.seq(pend.len());
+            for &(t, s, v) in *pend {
+                w.u64(t);
+                w.u64(s);
+                w.bool(v);
+            }
+        }
+        w.into_bytes()
+    }
+
+    fn restore(sim: &mut Simulator, bytes: &[u8]) -> Result<(), RtlError> {
+        sim.restore_state(&mut StateReader::new(bytes))
+    }
+
+    #[test]
+    fn hostile_checkpoints_are_typed_errors() {
+        // Two nets: an input and an inverter output with delay 3.
+        let mut n = Netlist::new("inv");
+        let a = n.add_input("a");
+        let q = n.add_net("q");
+        n.add_gate(GateKind::Not, &[a], q, 3).unwrap();
+        let mut sim = Simulator::new(&n).unwrap();
+        sim.settle().unwrap();
+        let mut w = StateWriter::new();
+        sim.save_state(&mut w);
+        let good = w.into_bytes();
+        let hostile: [(&str, Vec<u8>); 7] = [
+            ("huge seq", blob(10, u64::MAX, 0, &[&[], &[]])),
+            ("events beyond seq", blob(10, 4, 5, &[&[], &[]])),
+            (
+                "pending seq not below seq",
+                blob(10, 4, 0, &[&[], &[(12, 4, true)]]),
+            ),
+            (
+                "pending seq far out of range",
+                blob(10, 4, 0, &[&[(11, 1 << 40, true)], &[]]),
+            ),
+            (
+                "pending time in the past",
+                blob(10, 4, 0, &[&[], &[(9, 1, true)]]),
+            ),
+            (
+                "pending time past the window",
+                blob(10, 4, 0, &[&[], &[(14, 1, true)]]),
+            ),
+            (
+                "pending times not increasing",
+                blob(10, 4, 0, &[&[], &[(12, 1, true), (12, 2, false)]]),
+            ),
+        ];
+        for (what, bytes) in &hostile {
+            let err = restore(&mut sim, bytes).unwrap_err();
+            assert!(matches!(err, RtlError::State { .. }), "{what}: {err}");
+        }
+        // A pending count no window can hold fails before allocating.
+        let mut w = StateWriter::new();
+        for v in [10, 4, 0, 2, 2, 0, u64::MAX] {
+            w.u64(v);
+        }
+        let mut bytes = w.into_bytes();
+        bytes.splice(32..32, [0, 0]); // the two value bytes
+        assert!(matches!(
+            restore(&mut sim, &bytes),
+            Err(RtlError::State { reason }) if reason.contains("pending transitions")
+        ));
+        // Rejected blobs left the simulator untouched.
+        let mut w = StateWriter::new();
+        sim.save_state(&mut w);
+        assert_eq!(w.into_bytes(), good);
+        // The edge cases of the window are accepted and run.
+        restore(
+            &mut sim,
+            &blob(10, 4, 0, &[&[(10, 2, true)], &[(13, 3, true)]]),
+        )
+        .unwrap();
+        sim.settle().unwrap();
+        assert!(sim.value(a) && !sim.value(q));
     }
 
     #[test]

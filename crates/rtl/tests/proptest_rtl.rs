@@ -1,11 +1,13 @@
 //! Property-based tests for the hardware substrate: the event-driven
 //! simulator must agree with a direct combinational evaluation on random
-//! feed-forward netlists, and the bus/FSMD invariants must hold for
-//! arbitrary stimulus.
+//! feed-forward netlists, the bus/FSMD invariants must hold for
+//! arbitrary stimulus, and every device's closed-form
+//! [`BusSlave::advance`] must land exactly where per-cycle ticking does.
 
-use codesign_rtl::bus::{BusTiming, Ram, SystemBus};
+use codesign_rtl::bus::{fifo_regs, BusSlave, BusTiming, DrainFifo, Ram, SystemBus, Timer};
 use codesign_rtl::netlist::{GateKind, NetId, Netlist};
 use codesign_rtl::sim::Simulator;
+use codesign_rtl::state::{StateReader, StateWriter};
 use proptest::prelude::*;
 
 const GATES: [GateKind; 8] = [
@@ -55,6 +57,30 @@ fn arb_netlist() -> impl Strategy<Value = RandomNetlist> {
             gate_inputs,
         }
     })
+}
+
+/// A device's checkpoint bytes: its whole mutable state.
+fn state_of(dev: &dyn BusSlave) -> Vec<u8> {
+    let mut w = StateWriter::new();
+    dev.save_state(&mut w);
+    w.into_bytes()
+}
+
+/// A timer in an arbitrary register state, including states a program
+/// cannot reach through the bus (a `value` above `load`, a latched irq).
+fn timer(load: u32, value: u32, ctrl: u8, irq: bool) -> Timer {
+    let mut w = StateWriter::new();
+    w.u32(load);
+    w.u32(value);
+    for bit in 0..3 {
+        w.bool(ctrl >> bit & 1 == 1);
+    }
+    w.bool(irq);
+    let bytes = w.into_bytes();
+    let mut t = Timer::new();
+    t.restore_state(&mut StateReader::new(&bytes))
+        .expect("well-formed timer state");
+    t
 }
 
 fn reference_eval(rn: &RandomNetlist, stimulus: u64) -> Vec<bool> {
@@ -141,5 +167,63 @@ proptest! {
         prop_assert_eq!(s.writes, writes);
         let per = BusTiming::default().transaction_cycles();
         prop_assert_eq!(s.busy_cycles, (reads + writes) * per);
+    }
+
+    /// A FIFO caught up by `advance(n)` matches one ticked `n` times —
+    /// words drained, occupancy, the tail-drain estimate and the whole
+    /// checkpoint — for every `n` up to three drain periods, exact
+    /// multiples included, from any in-flight countdown.
+    #[test]
+    fn drain_fifo_advance_matches_ticking(
+        capacity in 1usize..8,
+        period in 1u64..10,
+        words in 0u32..10,
+        pre_ticks in 0u64..12,
+    ) {
+        let fresh = || {
+            let mut fifo = DrainFifo::new(capacity, period);
+            for v in 0..words {
+                fifo.write(fifo_regs::DATA, v);
+            }
+            for _ in 0..pre_ticks {
+                fifo.tick();
+            }
+            fifo
+        };
+        for n in 0..=3 * period {
+            let (mut ticked, mut advanced) = (fresh(), fresh());
+            for _ in 0..n {
+                ticked.tick();
+            }
+            advanced.advance(n);
+            prop_assert_eq!(advanced.drained(), ticked.drained());
+            prop_assert_eq!(advanced.occupancy(), ticked.occupancy());
+            prop_assert_eq!(advanced.cycles_to_drain(), ticked.cycles_to_drain());
+            prop_assert_eq!(state_of(&advanced), state_of(&ticked));
+        }
+    }
+
+    /// A timer caught up by `advance(n)` matches one ticked `n` times
+    /// over every CTRL bit combination, `load` and `value` including 0,
+    /// auto-reload on and off, and every `n` up to three reload periods.
+    #[test]
+    fn timer_advance_matches_ticking(
+        load in 0u32..8,
+        value in 0u32..10,
+        irq in any::<bool>(),
+    ) {
+        for ctrl in 0..8u8 {
+            let period = u64::from(load.max(value).max(1));
+            for n in 0..=3 * period {
+                let (mut ticked, mut advanced) =
+                    (timer(load, value, ctrl, irq), timer(load, value, ctrl, irq));
+                for _ in 0..n {
+                    ticked.tick();
+                }
+                advanced.advance(n);
+                prop_assert_eq!(state_of(&advanced), state_of(&ticked));
+                prop_assert_eq!(advanced.irq_pending(), ticked.irq_pending());
+            }
+        }
     }
 }

@@ -106,11 +106,10 @@ impl PinPhy {
         wait_states: u64,
     ) -> Result<u64, RtlError> {
         // Address phase: drive address, direction, and request.
-        self.sim
-            .set_bus(&self.addr.clone(), u64::from(addr & 0xFFFF));
+        self.sim.set_bus(&self.addr, u64::from(addr & 0xFFFF));
         self.sim.set_input(self.we, write);
         if write {
-            self.sim.set_bus(&self.data.clone(), u64::from(value));
+            self.sim.set_bus(&self.data, u64::from(value));
         }
         self.sim.set_input(self.req, true);
         self.sim.clock_cycle(self.clock_period)?;
@@ -126,7 +125,7 @@ impl PinPhy {
         // the data pins (read data path switching).
         self.sim.set_input(self.ack_in, true);
         if !write {
-            self.sim.set_bus(&self.data.clone(), u64::from(value));
+            self.sim.set_bus(&self.data, u64::from(value));
         }
         self.sim.clock_cycle(self.clock_period)?;
         cycles += 1;
