@@ -24,20 +24,26 @@
 //! cargo run --release -p codesign-bench --bin bench-cosim [--smoke] [out.json]
 //! ```
 //!
-//! A second table, `kernels`, reports host throughput of the two
-//! simulators under every pin- and register-level run:
+//! A second table, `kernels`, reports host throughput of the simulators
+//! under every pin- and register-level run, over one seeded script of
+//! bus transactions:
 //!
-//! - `gate_events` — gate-level events per second of the pin-level bus
-//!   phy ([`PinPhy`]) over a seeded transaction script;
+//! - `gate_events` — events per second of the gate-level kernel
+//!   ([`Simulator`]) driving the full bus-interface netlist (address,
+//!   data and handshake pins, the address decoder, the `ack` flop) clock
+//!   by clock through the script;
+//! - `pin_transactions` — transactions per second of the pin-level bus
+//!   phy ([`PinPhy`]) over the same script, with its decode memo's hit
+//!   rate;
 //! - `iss_instructions` — CR32 instructions per second of the ladder's
 //!   producer program against a bus carrying a draining FIFO and a free
 //!   running timer (every instruction ticks both devices).
 //!
 //! Each rate is the best of the timed iterations, because a shared host
-//! can run a whole minute ~40% slow. Its `before` column holds the rates
-//! the same code measured at commit `b7ad289` (binary-heap event queue,
-//! per-cycle device ticking) on a 2-vCPU x86-64 host, as recorded
-//! constants; compare `after` against it only on a like host.
+//! can run a whole minute ~40% slow; compare rates only between runs on
+//! a like host. Every run, `--smoke` included, checks that `PinPhy`
+//! reports the full netlist's events after every transaction of the
+//! script.
 //!
 //! `--smoke` runs one timing iteration per cell and defaults the output
 //! under `target/`, so CI can exercise the full path without perturbing
@@ -53,6 +59,8 @@ use codesign_isa::asm::assemble;
 use codesign_isa::cpu::Cpu;
 use codesign_rtl::bus::{timer_regs, BusPhy, BusSlave, BusTiming, DrainFifo, SystemBus, Timer};
 use codesign_rtl::fsmd::FsmdSim;
+use codesign_rtl::netlist::{GateKind, NetId, Netlist};
+use codesign_rtl::sim::Simulator;
 use codesign_sim::adapters::FsmdEngine;
 use codesign_sim::engine::{Coordinator, CoordinatorStats, SimEngine};
 use codesign_sim::ladder::{message_scenario, producer_program, LadderConfig};
@@ -72,13 +80,12 @@ const INVOCATIONS: u32 = 12;
 /// Kernel invocations batched per frame (block processing).
 const BATCH: u32 = 8;
 
-/// Transactions in the gate-kernel script.
-const PIN_TRANSACTIONS: u64 = 20_000;
+/// Transactions in the pin-level script.
+const PIN_TRANSACTIONS: usize = 20_000;
+/// Device regions the pin-level script decodes.
+const PIN_REGIONS: [(u32, u32); 3] = [(0x0000, 0x100), (0x0100, 0x100), (0x1000, 0x1000)];
 /// Producer iterations of the ISS program.
 const ISS_ITERATIONS: u32 = 400;
-/// Host rates at commit `b7ad289` on a 2-vCPU x86-64 host: gate events
-/// per second, then ISS instructions per second.
-const BEFORE_PER_S: [f64; 2] = [1.66e7, 6.80e7];
 
 /// A scenario's engine set, rebuilt fresh for every timed run.
 type EngineSet = Vec<Box<dyn SimEngine>>;
@@ -207,20 +214,116 @@ fn rate(iterations: u32, run: impl Fn() -> u64) -> (f64, u64) {
     (work as f64 / best, work)
 }
 
-/// Gate-level events of the pin phy over a seeded transaction script.
-fn pin_script(transactions: u64) -> u64 {
-    let mut phy = PinPhy::new(&[(0x0000, 0x100), (0x0100, 0x100), (0x1000, 0x1000)])
-        .expect("interface netlist builds");
+/// A seeded bus-transaction script: address, write, value, wait states.
+fn pin_script(transactions: usize) -> Vec<(u32, bool, u32, u64)> {
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    for _ in 0..transactions {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        let r = state >> 16;
-        let addr = [0x0000u32, 0x0104, 0x1000, 0x1FFC][(r & 3) as usize];
-        phy.transaction(addr, r & 4 != 0, (r >> 8) as u32, (r >> 3) & 3);
+    (0..transactions)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let r = state >> 16;
+            let addr = [0x0000u32, 0x0104, 0x1000, 0x1FFC][(r & 3) as usize];
+            (addr, r & 4 != 0, (r >> 8) as u32, (r >> 3) & 3)
+        })
+        .collect()
+}
+
+/// The full bus-interface netlist `PinPhy` accounts for, every pin a net
+/// in one gate-level kernel.
+struct BusInterface {
+    sim: Simulator,
+    req: NetId,
+    we: NetId,
+    ack: NetId,
+    addr: Vec<NetId>,
+    data: Vec<NetId>,
+}
+
+impl BusInterface {
+    fn new(regions: &[(u32, u32)]) -> Self {
+        let mut n = Netlist::new("bus_interface");
+        let req = n.add_input("req");
+        let we = n.add_input("we");
+        let ack = n.add_input("ack");
+        let addr: Vec<NetId> = (0..16).map(|i| n.add_input(format!("a{i}"))).collect();
+        let data: Vec<NetId> = (0..32).map(|i| n.add_input(format!("d{i}"))).collect();
+        for (i, &(base, size)) in regions.iter().enumerate() {
+            let low_bits = (32 - (size.max(1) - 1).leading_zeros()) as usize;
+            if low_bits >= addr.len() {
+                continue;
+            }
+            let hit = n
+                .equals_const(&addr[low_bits..], u64::from(base >> low_bits))
+                .expect("decoder builds");
+            let sel = n.add_net(format!("sel{i}"));
+            n.add_gate(GateKind::And, &[hit, req], sel, 1)
+                .expect("select builds");
+        }
+        let ack_q = n.add_net("ack_q");
+        n.add_dff(ack, ack_q, false).expect("ack flop builds");
+        BusInterface {
+            sim: Simulator::new(&n).expect("interface simulates"),
+            req,
+            we,
+            ack,
+            addr,
+            data,
+        }
     }
-    phy.events()
+
+    /// Drives one req/ack handshake clock by clock; returns the kernel's
+    /// cumulative events.
+    fn transaction(&mut self, addr: u32, write: bool, value: u32, wait_states: u64) -> u64 {
+        let clock = |sim: &mut Simulator| sim.clock_cycle(10).expect("interface settles");
+        self.sim.set_bus(&self.addr, u64::from(addr & 0xFFFF));
+        self.sim.set_input(self.we, write);
+        if write {
+            self.sim.set_bus(&self.data, u64::from(value));
+        }
+        self.sim.set_input(self.req, true);
+        clock(&mut self.sim);
+        for _ in 0..wait_states {
+            clock(&mut self.sim);
+        }
+        self.sim.set_input(self.ack, true);
+        if !write {
+            self.sim.set_bus(&self.data, u64::from(value));
+        }
+        clock(&mut self.sim);
+        self.sim.set_input(self.req, false);
+        self.sim.set_input(self.ack, false);
+        clock(&mut self.sim);
+        self.sim.events_processed()
+    }
+}
+
+/// Cumulative events after every transaction of `script`, from the full
+/// netlist.
+fn gate_run(script: &[(u32, bool, u32, u64)]) -> Vec<u64> {
+    let mut bus = BusInterface::new(&PIN_REGIONS);
+    script
+        .iter()
+        .map(|&(addr, write, value, waits)| bus.transaction(addr, write, value, waits))
+        .collect()
+}
+
+/// Cumulative events after every transaction of `script`, from `PinPhy`,
+/// and its memo's hit rate.
+fn pin_run(script: &[(u32, bool, u32, u64)]) -> (Vec<u64>, f64) {
+    let mut phy = PinPhy::new(&PIN_REGIONS).expect("decoder builds");
+    let events = script
+        .iter()
+        .map(|&(addr, write, value, waits)| {
+            phy.transaction(addr, write, value, waits);
+            phy.events()
+        })
+        .collect();
+    let memo = phy.memo_stats();
+    (
+        events,
+        memo.hits as f64 / (memo.hits + memo.misses).max(1) as f64,
+    )
 }
 
 /// Instructions the ladder's producer program retires against a bus
@@ -312,13 +415,26 @@ fn main() {
             )
         })
         .collect();
-    let throughput: [(&str, &str, (f64, u64)); 2] = [
+    // The phy must report the full netlist's events transaction by
+    // transaction before either is timed.
+    let script = pin_script(if smoke { 500 } else { PIN_TRANSACTIONS });
+    let reference = gate_run(&script);
+    let (pin_events, hit_rate) = pin_run(&script);
+    for (i, (pin, full)) in pin_events.iter().zip(&reference).enumerate() {
+        assert_eq!(pin, full, "PinPhy vs full netlist after {:?}", script[i]);
+    }
+    let throughput: [(&str, &str, (f64, u64)); 3] = [
         (
             "gate_events",
             "events_per_s",
             rate(iterations, || {
-                pin_script(if smoke { 500 } else { PIN_TRANSACTIONS })
+                gate_run(&script).last().copied().unwrap_or(0)
             }),
+        ),
+        (
+            "pin_transactions",
+            "transactions_per_s",
+            rate(iterations, || pin_run(&script).0.len() as u64),
         ),
         (
             "iss_instructions",
@@ -330,13 +446,16 @@ fn main() {
     ];
     let kernel_rows: Vec<String> = throughput
         .iter()
-        .zip(BEFORE_PER_S)
-        .map(|(&(kernel, unit, (after, work)), before)| {
-            eprintln!("{kernel:>16}: {after:.3e} {unit} (before {before:.3e}), work {work}");
+        .map(|&(kernel, unit, (per_s, work))| {
+            eprintln!("{kernel:>16}: {per_s:.3e} {unit}, work {work}");
+            let memo = if kernel == "pin_transactions" {
+                format!(", \"memo_hit_rate\": {hit_rate:.4}")
+            } else {
+                String::new()
+            };
             format!(
                 "{{\"kernel\": \"{kernel}\", \"unit\": \"{unit}\", \"work\": {work}, \
-                 \"before\": {before:.0}, \"after\": {after:.0}, \"speedup\": {:.2}}}",
-                after / before.max(1.0)
+                 \"rate\": {per_s:.0}{memo}}}"
             )
         })
         .collect();

@@ -67,6 +67,13 @@ pub enum RtlError {
         /// Human-readable reason.
         reason: String,
     },
+    /// A netlist that must settle within one clock period cannot: it
+    /// holds a flip-flop or a combinational loop, or a gate path at
+    /// least one period long.
+    SettleBound {
+        /// What breaks the bound.
+        reason: String,
+    },
     /// A serialized state blob could not be decoded (truncated bytes,
     /// a version/shape mismatch, or a checkpoint restored into a
     /// structurally different model).
@@ -107,6 +114,9 @@ impl fmt::Display for RtlError {
                 u64::from(*base) + u64::from(*size)
             ),
             RtlError::Fpga { reason } => write!(f, "fpga: {reason}"),
+            RtlError::SettleBound { reason } => {
+                write!(f, "netlist cannot settle within one clock period: {reason}")
+            }
             RtlError::State { reason } => write!(f, "state: {reason}"),
         }
     }
