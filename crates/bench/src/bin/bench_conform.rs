@@ -20,7 +20,7 @@
 //! is byte-identical across thread counts and across reruns, and the
 //! campaign finds zero divergences.
 
-use codesign_bench::jsonout::{self, Value};
+use codesign_bench::jsonout;
 use codesign_conform::sweep::{run_sweep, SweepConfig, SweepReport};
 
 /// Systems in the checked-in report.
@@ -58,10 +58,7 @@ fn render(report: &SweepReport, threads: usize) -> String {
             ("total_bytes", report.total_bytes.into()),
             ("total_irqs", report.total_irqs.into()),
             ("total_messages", report.total_messages.into()),
-            (
-                "divergences",
-                Value::Num(report.divergences.len().to_string()),
-            ),
+            ("divergences", report.divergences.len().into()),
         ],
         &rows,
     )

@@ -68,6 +68,7 @@ use codesign_sim::message::{MessageConfig, MessageEngine};
 use codesign_sim::pinproto::PinPhy;
 use codesign_synth::coproc::{characterize, process_network, Application};
 use codesign_synth::mthread::placement_for;
+use codesign_trace::json::Json;
 
 /// Synchronization quanta measured. 16 is the `codesign cosim` default
 /// and the gated cell.
@@ -444,19 +445,20 @@ fn main() {
             }),
         ),
     ];
-    let kernel_rows: Vec<String> = throughput
+    let kernels = throughput
         .iter()
         .map(|&(kernel, unit, (per_s, work))| {
             eprintln!("{kernel:>16}: {per_s:.3e} {unit}, work {work}");
-            let memo = if kernel == "pin_transactions" {
-                format!(", \"memo_hit_rate\": {hit_rate:.4}")
-            } else {
-                String::new()
-            };
-            format!(
-                "{{\"kernel\": \"{kernel}\", \"unit\": \"{unit}\", \"work\": {work}, \
-                 \"rate\": {per_s:.0}{memo}}}"
-            )
+            let mut row = vec![
+                ("kernel".to_string(), kernel.into()),
+                ("unit".to_string(), unit.into()),
+                ("work".to_string(), work.into()),
+                ("rate".to_string(), Json::Num(format!("{per_s:.0}"))),
+            ];
+            if kernel == "pin_transactions" {
+                row.push(("memo_hit_rate".to_string(), hit_rate.into()));
+            }
+            Json::Object(row)
         })
         .collect();
     let json = jsonout::render(
@@ -473,10 +475,7 @@ fn main() {
                 "after",
                 "lookahead coordinator (adaptive horizons, idle-skip, batched advancement)".into(),
             ),
-            (
-                "kernels",
-                jsonout::Value::Raw(format!("[\n    {}\n  ]", kernel_rows.join(",\n    "))),
-            ),
+            ("kernels", Json::Array(kernels)),
         ],
         &rendered,
     );

@@ -25,6 +25,7 @@
 //! the same seeds reproduce the same report byte for byte.
 
 use codesign::resilience::{campaign_table, run_campaign, CampaignConfig, SCENARIOS};
+use codesign::trace::Tracer;
 use codesign_bench::jsonout;
 
 /// Seeds per scenario for the checked-in report.
@@ -43,7 +44,7 @@ fn main() {
         ..CampaignConfig::default()
     };
 
-    let report = run_campaign(&config).expect("campaign runs");
+    let report = run_campaign(&config, &Tracer::off()).expect("campaign runs");
     eprint!("{}", campaign_table(&report));
 
     // Gate: every scenario ran, every seeded run landed in exactly one
@@ -67,7 +68,7 @@ fn main() {
         );
     }
     // Determinism gate: the same config reproduces the same report.
-    let again = run_campaign(&config).expect("campaign reruns");
+    let again = run_campaign(&config, &Tracer::off()).expect("campaign reruns");
     assert_eq!(
         report.to_json(),
         again.to_json(),

@@ -31,7 +31,7 @@ use codesign::fault::FaultPlan;
 use codesign::replay::{bisect_divergence, linear_first_divergence, snapshot, ReplaySession};
 use codesign::resilience::{build_scenario, RUN_BUDGET, SCENARIOS};
 
-use codesign_bench::jsonout::{self, Value};
+use codesign_bench::jsonout;
 
 /// Checkpoint every N coordination rounds.
 const CADENCE: u64 = 8;
@@ -202,14 +202,8 @@ fn main() {
             ("snapshot_samples", u64::from(SNAP_SAMPLES).into()),
             ("host_cores", jsonout::host_cores().into()),
             ("git_rev", jsonout::git_rev().as_str().into()),
-            (
-                "bisect_total_probes",
-                Value::Num(total_bisect_probes.to_string()),
-            ),
-            (
-                "linear_total_probes",
-                Value::Num(total_linear_probes.to_string()),
-            ),
+            ("bisect_total_probes", total_bisect_probes.into()),
+            ("linear_total_probes", total_linear_probes.into()),
         ],
         &rows,
     );

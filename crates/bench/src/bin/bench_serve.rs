@@ -48,9 +48,9 @@ use codesign::serve::{serve_tcp, RetryConfig, Server, ServerConfig};
 use codesign::servejobs::{
     cosim_report_json, partition_report_json, run_cosim, CodesignRunner, CosimParams,
 };
-use codesign::trace::json::escape;
+use codesign::trace::json::{self, Json};
 use codesign::trace::Tracer;
-use codesign_bench::jsonout::{self, Value};
+use codesign_bench::jsonout;
 
 fn spec_path(name: &str) -> String {
     format!("{}/../../examples/specs/{name}", env!("CARGO_MANIFEST_DIR"))
@@ -89,33 +89,6 @@ fn job(
         must_ok,
         resubmit: true,
     }
-}
-
-/// Minimal reply-field extraction (the protocol emits one flat JSON
-/// object per line).
-fn reply_id(line: &str) -> Option<&str> {
-    let rest = line.strip_prefix("{\"id\":")?;
-    if rest.starts_with("null") {
-        return None;
-    }
-    let rest = rest.strip_prefix('"')?;
-    rest.find('"').map(|end| &rest[..end])
-}
-
-fn reply_status(line: &str) -> &str {
-    for status in [
-        "\"status\":\"ok\"",
-        "\"status\":\"error\"",
-        "\"status\":\"shed\"",
-        "\"status\":\"stats\"",
-        "\"status\":\"draining\"",
-    ] {
-        if line.contains(status) {
-            // "ok" -> ok etc.
-            return &status[10..status.len() - 1];
-        }
-    }
-    "unknown"
 }
 
 /// What one client observed.
@@ -175,9 +148,14 @@ fn run_client(addr: std::net::SocketAddr, jobs: &[Job], garbage: usize) -> Clien
             "server closed with {} jobs unanswered",
             pending.len()
         );
-        let status = reply_status(&line);
+        let reply =
+            json::parse(&line).unwrap_or_else(|e| panic!("reply is not JSON ({e}): {line}"));
+        let status = reply
+            .get("status")
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| panic!("reply without a status: {line}"));
         *out.by_status.entry(status.to_string()).or_default() += 1;
-        match reply_id(&line) {
+        match reply.get("id").and_then(Json::as_str) {
             None => out.garbage_answered += 1,
             Some(id) => {
                 let (j, t0) = pending
@@ -203,11 +181,9 @@ fn run_client(addr: std::net::SocketAddr, jobs: &[Job], garbage: usize) -> Clien
                 }
                 if status == "ok" {
                     if let Some(expect) = &j.expect {
-                        // `result` is the reply's last field, escaped by
-                        // the one escaper the server renders with.
-                        let result = format!("\"result\":\"{}\"}}", escape(expect));
-                        assert!(
-                            line.trim_end().ends_with(&result),
+                        assert_eq!(
+                            reply.get("result").and_then(Json::as_str),
+                            Some(expect.as_str()),
                             "job {id} ({}) diverged from the direct renderer: {line}",
                             j.kind
                         );
@@ -451,8 +427,11 @@ fn main() {
         let mut r = BufReader::new(s.try_clone().expect("clone"));
         let mut line = String::new();
         r.read_line(&mut line).expect("read shutdown reply");
-        assert!(
-            line.contains("\"status\":\"stats\""),
+        let reply =
+            json::parse(&line).unwrap_or_else(|e| panic!("bad shutdown reply ({e}): {line}"));
+        assert_eq!(
+            reply.get("status").and_then(Json::as_str),
+            Some("stats"),
             "bad shutdown reply: {line}"
         );
     }
@@ -545,9 +524,9 @@ fn main() {
             ("lost_results", 0u64.into()),
             ("duplicated_results", 0u64.into()),
             ("tenant_store_entries", store.len().into()),
-            ("p50_ms", Value::Num(format!("{:.3}", pct(0.50)))),
-            ("p99_ms", Value::Num(format!("{:.3}", pct(0.99)))),
-            ("jobs_per_sec", Value::Num(format!("{jobs_per_sec:.1}"))),
+            ("p50_ms", Json::Num(format!("{:.3}", pct(0.50)))),
+            ("p99_ms", Json::Num(format!("{:.3}", pct(0.99)))),
+            ("jobs_per_sec", Json::Num(format!("{jobs_per_sec:.1}"))),
         ],
         &rows,
     );

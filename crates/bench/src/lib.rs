@@ -40,6 +40,8 @@ use std::fmt::Write as _;
 pub mod jsonout {
     use std::fmt::Write as _;
 
+    use codesign_trace::json::Json;
+
     /// Parses the standard bench CLI: an optional `--smoke` flag and an
     /// optional output path. Returns `(smoke, out_path)`, defaulting the
     /// path to `default_full`, or to `default_smoke` under `--smoke` so
@@ -58,57 +60,6 @@ pub mod jsonout {
         let out_path =
             out_path.unwrap_or_else(|| (if smoke { default_smoke } else { default_full }).into());
         (smoke, out_path)
-    }
-
-    /// A typed header value, so numeric metadata (core counts, speedup
-    /// ratios) lands in the JSON as numbers rather than strings.
-    #[derive(Debug, Clone)]
-    pub enum Value {
-        /// A quoted JSON string.
-        Str(String),
-        /// An unquoted number, preformatted (e.g. `"1.52"`, `"8"`).
-        Num(String),
-        /// An unquoted JSON literal (`true`, `null`, ...).
-        Raw(String),
-    }
-
-    impl From<&str> for Value {
-        fn from(v: &str) -> Self {
-            Value::Str(v.to_string())
-        }
-    }
-
-    impl From<u64> for Value {
-        fn from(v: u64) -> Self {
-            Value::Num(v.to_string())
-        }
-    }
-
-    impl From<usize> for Value {
-        fn from(v: usize) -> Self {
-            Value::Num(v.to_string())
-        }
-    }
-
-    impl From<f64> for Value {
-        fn from(v: f64) -> Self {
-            Value::Num(format!("{v:.4}"))
-        }
-    }
-
-    impl From<bool> for Value {
-        fn from(v: bool) -> Self {
-            Value::Raw(v.to_string())
-        }
-    }
-
-    impl std::fmt::Display for Value {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            match self {
-                Value::Str(s) => write!(f, "\"{}\"", codesign_trace::json::escape(s)),
-                Value::Num(n) | Value::Raw(n) => write!(f, "{n}"),
-            }
-        }
     }
 
     /// The host's available parallelism — every benchmark reports it so
@@ -135,14 +86,20 @@ pub mod jsonout {
     }
 
     /// Renders the standard benchmark document: the `"benchmark"` name,
-    /// the typed `headers` in order, then `rows` (each a preformatted
-    /// JSON object, no trailing comma) under `"results"`.
+    /// the typed `headers` in order (an array one element per line, like
+    /// `"results"`), then `rows` (each a preformatted JSON object, no
+    /// trailing comma) under `"results"`.
     #[must_use]
-    pub fn render(benchmark: &str, headers: &[(&str, Value)], rows: &[String]) -> String {
+    pub fn render(benchmark: &str, headers: &[(&str, Json)], rows: &[String]) -> String {
         let mut json = String::from("{\n");
         let _ = writeln!(json, "  \"benchmark\": \"{benchmark}\",");
         for (key, value) in headers {
-            let _ = writeln!(json, "  \"{key}\": {value},");
+            if let Json::Array(items) = value {
+                let items: Vec<String> = items.iter().map(ToString::to_string).collect();
+                let _ = writeln!(json, "  \"{key}\": [\n    {}\n  ],", items.join(",\n    "));
+            } else {
+                let _ = writeln!(json, "  \"{key}\": {value},");
+            }
         }
         json.push_str("  \"results\": [\n");
         for (i, row) in rows.iter().enumerate() {

@@ -13,7 +13,7 @@
 //!   [`MessageEngine`](codesign_sim::message::MessageEngine) on a random
 //!   TGFF process network (finish-time is compared exactly; it is part
 //!   of the parity contract between the two kernels);
-//! * every [`SweepConfig::lockstep_every`]-th index runs a clean
+//! * every 29th index runs a clean
 //!   ISS-vs-pin **lockstep** pass, after the deliberate-fault
 //!   [`self_test`](crate::lockstep::self_test) has proven the checker
 //!   can see faults at all.
@@ -35,6 +35,7 @@ use codesign_ir::workload::tgff::{random_process_network, NetworkConfig};
 use codesign_sim::engine::SimEngine;
 use codesign_sim::ladder::AbstractionLevel;
 use codesign_sim::message::{simulate, MessageConfig, MessageEngine, Placement, Resource};
+use codesign_sim::trace::json::escape;
 
 use crate::lockstep::{self, LockstepConfig, LockstepOutcome};
 use crate::observables::{check, level_errors, Divergence};
@@ -53,9 +54,11 @@ pub struct SweepConfig {
     pub threads: usize,
     /// Whether lockstep passes (and the up-front self-test) run.
     pub lockstep: bool,
-    /// Run a lockstep pass every this-many systems.
-    pub lockstep_every: usize,
 }
+
+/// With [`SweepConfig::lockstep`] on, a lockstep pass runs every
+/// this-many systems.
+const LOCKSTEP_EVERY: usize = 29;
 
 impl Default for SweepConfig {
     fn default() -> Self {
@@ -64,7 +67,6 @@ impl Default for SweepConfig {
             seed: 42,
             threads: 1,
             lockstep: true,
-            lockstep_every: 29,
         }
     }
 }
@@ -344,7 +346,7 @@ fn check_one(cfg: &SweepConfig, index: usize) -> PerSystem {
         per.engine_diff = true;
         engine_parity(seed, &mut per.divergences);
     }
-    if cfg.lockstep && cfg.lockstep_every > 0 && index.is_multiple_of(cfg.lockstep_every) {
+    if cfg.lockstep && index.is_multiple_of(LOCKSTEP_EVERY) {
         let lk = LockstepConfig {
             seed: splitmix64(seed ^ 0x10C2_57E9),
             instructions: 150,
@@ -459,7 +461,6 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepReport, ConformError> {
 #[must_use]
 pub fn report_json(cfg: &SweepConfig, report: &SweepReport) -> String {
     use std::fmt::Write as _;
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut j = String::from("{\n");
     let _ = writeln!(j, "  \"tool\": \"codesign conform\",");
     let _ = writeln!(j, "  \"systems\": {},", report.systems);
@@ -501,8 +502,8 @@ pub fn report_json(cfg: &SweepConfig, report: &SweepReport) -> String {
             j,
             "    {{\"seed\": {}, \"check\": \"{}\", \"detail\": \"{}\"}}{}",
             d.seed,
-            esc(d.check),
-            esc(&d.detail),
+            escape(d.check),
+            escape(&d.detail),
             if i + 1 < report.divergences.len() {
                 ","
             } else {
@@ -517,6 +518,7 @@ pub fn report_json(cfg: &SweepConfig, report: &SweepReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codesign_sim::trace::json::Json;
 
     #[test]
     fn report_json_is_deterministic_and_escaped() {
@@ -530,16 +532,24 @@ mod tests {
             ..cfg
         })
         .unwrap();
+        let detail = "a \"quoted\" \\ detail\nwith\ta control \u{1} byte";
         report.divergences.push(Divergence {
             seed: 1,
             check: "harness-error",
-            detail: "a \"quoted\" \\ detail".into(),
+            detail: detail.into(),
         });
         let a = report_json(&cfg, &report);
         assert_eq!(a, report_json(&cfg, &report));
         assert!(a.contains("\"tool\": \"codesign conform\""));
         assert!(a.contains("\"systems\": 3"));
-        assert!(a.contains("a \\\"quoted\\\" \\\\ detail"), "{a}");
+        let doc = codesign_sim::trace::json::parse(&a).unwrap_or_else(|e| panic!("{e}: {a}"));
+        let Some(Json::Array(divergences)) = doc.get("divergences") else {
+            panic!("no divergences array: {a}")
+        };
+        assert_eq!(
+            divergences[0].get("detail").and_then(Json::as_str),
+            Some(detail)
+        );
     }
 
     #[test]

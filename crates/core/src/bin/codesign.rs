@@ -31,7 +31,7 @@ use codesign::partition::cost::Objective;
 use codesign::partition::eval::EvalConfig;
 use codesign::replay::{bisect_divergence, serve as gdb_serve, DebugSession};
 use codesign::resilience::{
-    build_scenario, campaign_table, run_campaign_traced, CampaignConfig, RUN_BUDGET, SCENARIOS,
+    build_scenario, campaign_table, run_campaign, CampaignConfig, RUN_BUDGET, SCENARIOS,
 };
 use codesign::serve::{serve_lines, serve_tcp, RetryConfig, Server, ServerConfig};
 use codesign::servejobs::{cosim_report_json, run_cosim, CodesignRunner, CosimParams};
@@ -583,7 +583,7 @@ fn cmd_faults(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     };
     let out = flag_value(args, "--out").unwrap_or("BENCH_faults.json");
     let (tracer, trace_path) = trace_flag(args);
-    let report = run_campaign_traced(&config, &tracer)?;
+    let report = run_campaign(&config, &tracer)?;
     println!(
         "fault campaign — {} seeds per scenario (seed base {:#x}):\n",
         config.seeds, config.seed_base
@@ -719,7 +719,6 @@ fn cmd_conform(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         seed: parsed_flag(args, "--seed")?.unwrap_or(42),
         threads: parsed_flag::<usize>(args, "--threads")?.unwrap_or(1).max(1),
         lockstep,
-        ..SweepConfig::default()
     };
     if !lockstep {
         // A disabled checker certifies nothing — prove it, loudly.

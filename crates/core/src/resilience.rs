@@ -142,12 +142,6 @@ fn build_ladder_message(
     coord
 }
 
-fn ladder_message(plan: &FaultPlan, seed: u64, tracer: &Tracer) -> RunOutcome {
-    let injector = traced_injector("ladder_message", seed, tracer);
-    let coord = build_ladder_message(plan, &injector, false);
-    finish(coord, &injector)
-}
-
 /// The ladder's register level: the CR32 producer polling a FIFO whose
 /// registers (and bus transactions) can fault.
 fn build_ladder_register(
@@ -180,12 +174,6 @@ fn build_ladder_register(
     coord.set_retry(Some(RetryPolicy::default()));
     coord.add_engine(Box::new(CpuEngine::new("cpu", cpu)));
     coord
-}
-
-fn ladder_register(plan: &FaultPlan, seed: u64, tracer: &Tracer) -> RunOutcome {
-    let injector = traced_injector("ladder_register", seed, tracer);
-    let coord = build_ladder_register(plan, &injector, false);
-    finish(coord, &injector)
 }
 
 /// The interrupt rung: a timer ISR counting four auto-reload periods,
@@ -236,12 +224,6 @@ fn build_ladder_irq(plan: &FaultPlan, injector: &SharedInjector, lockstep: bool)
     coord.set_retry(Some(RetryPolicy::default()));
     coord.add_engine(Box::new(CpuEngine::new("cpu", cpu)));
     coord
-}
-
-fn ladder_irq(plan: &FaultPlan, seed: u64, tracer: &Tracer) -> RunOutcome {
-    let injector = traced_injector("ladder_irq", seed, tracer);
-    let coord = build_ladder_irq(plan, &injector, false);
-    finish(coord, &injector)
 }
 
 /// The Figure 8 coprocessor system: the characterized DSP pipeline
@@ -296,33 +278,19 @@ fn build_dsp_coprocessor(
     coord
 }
 
-fn dsp_coprocessor(plan: &FaultPlan, seed: u64, tracer: &Tracer) -> RunOutcome {
-    let injector = traced_injector("dsp_coprocessor", seed, tracer);
-    let coord = build_dsp_coprocessor(plan, &injector, false);
-    finish(coord, &injector)
-}
-
-/// An injector whose fault records mirror as trace instants on a
-/// per-run `faults:{scenario}:s{seed}` track (no-op when `tracer` is
-/// off; tracing is observational only).
-fn traced_injector(scenario: &str, seed: u64, tracer: &Tracer) -> SharedInjector {
-    let injector = shared(seed);
+/// Runs one campaign scenario on the default lookahead coordinator,
+/// mirroring its fault records as trace instants on a per-run
+/// `faults:{scenario}:s{seed}` track (no-op when `tracer` is off;
+/// tracing is observational only).
+fn run_scenario(name: &str, plan: &FaultPlan, seed: u64, tracer: &Tracer) -> RunOutcome {
+    let (coord, injector) =
+        build_scenario(name, plan, seed, false).expect("campaign scenarios are known");
     if tracer.is_on() {
         injector
             .borrow_mut()
-            .set_tracer(tracer, &format!("faults:{scenario}:s{seed}"));
+            .set_tracer(tracer, &format!("faults:{name}:s{seed}"));
     }
-    injector
-}
-
-fn run_scenario(name: &str, plan: &FaultPlan, seed: u64, tracer: &Tracer) -> RunOutcome {
-    match name {
-        "ladder_message" => ladder_message(plan, seed, tracer),
-        "ladder_register" => ladder_register(plan, seed, tracer),
-        "ladder_irq" => ladder_irq(plan, seed, tracer),
-        "dsp_coprocessor" => dsp_coprocessor(plan, seed, tracer),
-        other => unreachable!("unknown scenario `{other}`"),
-    }
+    finish(coord, &injector)
 }
 
 /// Builds one campaign scenario *without running it*: the coordinator
@@ -365,28 +333,17 @@ pub fn build_scenario(
 pub const RUN_BUDGET: u64 = BUDGET;
 
 /// Runs the campaign: golden run plus `config.seeds` seeded runs per
-/// scenario, classified against the golden fingerprint.
+/// scenario, classified against the golden fingerprint. Every injected
+/// fault of a seeded run is mirrored as a trace instant on a per-run
+/// `faults:{scenario}:s{seed}` track; tracing is observational only, so
+/// the report is identical with [`Tracer::off`].
 ///
 /// # Errors
 ///
 /// Returns an error if `config.scenario` names no known scenario, or
 /// if a golden (fault-free) run fails — both configuration mistakes,
 /// not injected faults.
-pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, String> {
-    run_campaign_traced(config, &Tracer::off())
-}
-
-/// [`run_campaign`] with every injected fault mirrored as a trace
-/// instant on a per-run `faults:{scenario}:s{seed}` track. Tracing is
-/// observational only: the report is identical with and without it.
-///
-/// # Errors
-///
-/// As [`run_campaign`].
-pub fn run_campaign_traced(
-    config: &CampaignConfig,
-    tracer: &Tracer,
-) -> Result<CampaignReport, String> {
+pub fn run_campaign(config: &CampaignConfig, tracer: &Tracer) -> Result<CampaignReport, String> {
     let selected: Vec<&str> = match &config.scenario {
         Some(name) => {
             let name = name.as_str();
@@ -499,7 +456,7 @@ mod tests {
             scenario: Some("ladder_message".into()),
             ..CampaignConfig::default()
         };
-        let report = run_campaign(&config).expect("campaign runs");
+        let report = run_campaign(&config, &Tracer::off()).expect("campaign runs");
         assert_eq!(report.scenarios.len(), 1);
         assert_eq!(report.scenarios[0].total(), 4);
         let json = report.to_json();
@@ -516,8 +473,8 @@ mod tests {
             ..CampaignConfig::default()
         };
         let tracer = Tracer::on();
-        let traced = run_campaign_traced(&config, &tracer).expect("traced campaign runs");
-        let plain = run_campaign(&config).expect("plain campaign runs");
+        let traced = run_campaign(&config, &tracer).expect("traced campaign runs");
+        let plain = run_campaign(&config, &Tracer::off()).expect("plain campaign runs");
         assert_eq!(traced.to_json(), plain.to_json(), "tracing changed results");
         assert_eq!(
             u64::try_from(tracer.event_count()).unwrap_or(u64::MAX) > 0,
@@ -534,7 +491,7 @@ mod tests {
             scenario: Some("ladder_nonsense".into()),
             ..CampaignConfig::default()
         };
-        let err = run_campaign(&config).unwrap_err();
+        let err = run_campaign(&config, &Tracer::off()).unwrap_err();
         assert!(err.contains("unknown scenario"));
         assert!(err.contains("ladder_message"), "error lists the options");
     }

@@ -55,7 +55,7 @@ use codesign_synth::mthread::{comm_aware_traced, MthreadConfig};
 use codesign_trace::json::escape;
 use codesign_trace::Tracer;
 
-use crate::resilience::{run_campaign_traced, CampaignConfig};
+use crate::resilience::{run_campaign, CampaignConfig};
 
 // ---------------------------------------------------------------------------
 // Shared renderers: one source of truth for CLI and served bytes.
@@ -75,13 +75,13 @@ pub fn partition_report_json(
 ) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"command\": \"partition\",\n");
-    out.push_str(&format!("  \"system\": \"{system}\",\n"));
-    out.push_str(&format!("  \"algorithm\": \"{algorithm}\",\n"));
+    out.push_str(&format!("  \"system\": \"{}\",\n", escape(system)));
+    out.push_str(&format!("  \"algorithm\": \"{}\",\n", escape(algorithm)));
     out.push_str("  \"tasks\": [\n");
     for (i, (id, task)) in graph.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"side\": \"{}\"}}{}\n",
-            task.name(),
+            escape(task.name()),
             match partition.side(id) {
                 Side::Sw => "sw",
                 Side::Hw => "hw",
@@ -627,7 +627,7 @@ impl CodesignRunner {
             scenario: param_str(req, "scenario")?.map(ToString::to_string),
             ..CampaignConfig::default()
         };
-        let report = run_campaign_traced(&config, &self.tracer)
+        let report = run_campaign(&config, &self.tracer)
             .map_err(|e| JobError::permanent("campaign_error", e))?;
         Ok(report.to_json())
     }
@@ -719,8 +719,9 @@ impl JobRunner for CodesignRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codesign_trace::json::Json;
 
-    fn request(kind: &str, params: &[(&str, codesign_serve::Value)]) -> Request {
+    fn request(kind: &str, params: &[(&str, Json)]) -> Request {
         Request {
             id: "t".to_string(),
             kind: kind.to_string(),
@@ -755,11 +756,13 @@ mod tests {
 
     #[test]
     fn out_of_range_budget_is_a_bad_field() {
-        use codesign_serve::Value;
         let r = runner();
         let req = request(
             "explore",
-            &[("spec", Value::Str(spec_file())), ("budget", Value::Int(0))],
+            &[
+                ("spec", Json::Str(spec_file())),
+                ("budget", Json::Num("0".into())),
+            ],
         );
         let err = r.run(&req, 1).unwrap_err();
         assert_eq!(err.code, "bad_field");
@@ -768,9 +771,8 @@ mod tests {
 
     #[test]
     fn partition_job_matches_the_shared_renderer() {
-        use codesign_serve::Value;
         let r = runner();
-        let req = request("partition", &[("spec", Value::Str(spec_file()))]);
+        let req = request("partition", &[("spec", Json::Str(spec_file()))]);
         let served = r.run(&req, 1).expect("partition job runs");
         // Recompute directly through the same flow the CLI uses.
         let text = std::fs::read_to_string(spec_file()).unwrap();
@@ -792,13 +794,12 @@ mod tests {
 
     #[test]
     fn explore_jobs_share_the_tenant_store() {
-        use codesign_serve::Value;
         let r = runner();
         let req = request(
             "explore",
             &[
-                ("spec", Value::Str(spec_file())),
-                ("budget", Value::Int(24)),
+                ("spec", Json::Str(spec_file())),
+                ("budget", Json::Num("24".into())),
             ],
         );
         let first = r.run(&req, 1).expect("first explore runs");
@@ -821,8 +822,7 @@ mod tests {
 
     #[test]
     fn chaos_transient_heals_after_k_attempts() {
-        use codesign_serve::Value;
-        let mut req = request("partition", &[("spec", Value::Str(spec_file()))]);
+        let mut req = request("partition", &[("spec", Json::Str(spec_file()))]);
         req.chaos = Some("transient:2".to_string());
         let r = runner();
         assert_eq!(r.run(&req, 1).unwrap_err().code, "hardware_fault");
@@ -837,8 +837,7 @@ mod tests {
 
     #[test]
     fn cosim_job_reports_coordinator_stats() {
-        use codesign_serve::Value;
-        let req = request("cosim", &[("spec", Value::Str(process_spec_file()))]);
+        let req = request("cosim", &[("spec", Json::Str(process_spec_file()))]);
         let out = runner().run(&req, 1).expect("cosim job runs");
         assert!(out.contains("\"command\": \"cosim\""), "{out}");
         assert!(out.contains("\"coordinator\""), "{out}");
@@ -846,9 +845,8 @@ mod tests {
 
     #[test]
     fn preempted_cosim_resumes_to_byte_identical_output() {
-        use codesign_serve::Value;
         let r = runner();
-        let mut req = request("cosim", &[("spec", Value::Str(process_spec_file()))]);
+        let mut req = request("cosim", &[("spec", Json::Str(process_spec_file()))]);
         let full = r.run(&req, 1).expect("unsliced cosim runs");
 
         // A zero-length slice preempts after every coordination round:

@@ -71,6 +71,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use codesign_sim::ladder::AbstractionLevel;
+use codesign_trace::json::escape;
 use codesign_trace::Tracer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -111,6 +112,10 @@ impl EvalMode {
 /// among this many top-ranked flips.
 const SENSITIVITY_TOP_K: usize = 8;
 
+/// Probability a worker restarts from a uniform random point instead of
+/// mutating the incumbent front.
+const RESTART_PCT: f64 = 0.25;
+
 /// Executor parameters. `threads` is the only knob that may legally
 /// vary between two runs expected to produce identical output.
 #[derive(Debug, Clone)]
@@ -138,9 +143,6 @@ pub struct ExploreConfig {
     /// Consult the memo cache (off only for the equivalence proptest
     /// and for measuring the cache's worth).
     pub use_cache: bool,
-    /// Probability a worker restarts from a uniform random point
-    /// instead of mutating the incumbent front.
-    pub restart_pct: f64,
     /// Scoring pipeline; part of the experiment definition for the
     /// *stats*, but never for the archive (the gate is sound).
     pub eval_mode: EvalMode,
@@ -161,7 +163,6 @@ impl Default for ExploreConfig {
             quanta: vec![4, 8, 16, 32, 64],
             levels: AbstractionLevel::ALL.to_vec(),
             use_cache: true,
-            restart_pct: 0.25,
             eval_mode: EvalMode::Delta,
             dedup_retries: 16,
         }
@@ -782,7 +783,7 @@ fn next_candidate(
     stage1: &mut Stage1,
     rng: &mut StdRng,
 ) -> DesignPoint {
-    let restart = snapshot.is_empty() || rng.gen_bool(cfg.restart_pct.clamp(0.0, 1.0));
+    let restart = snapshot.is_empty() || rng.gen_bool(RESTART_PCT);
     if restart {
         return DesignPoint {
             assignment: (0..space.len())
@@ -913,7 +914,10 @@ impl ExploreOutcome {
     ) -> String {
         let mut out = String::from("{\n");
         out.push_str("  \"report\": \"explore\",\n");
-        out.push_str(&format!("  \"spec\": \"{}\",\n", space.graph().name()));
+        out.push_str(&format!(
+            "  \"spec\": \"{}\",\n",
+            escape(space.graph().name())
+        ));
         out.push_str(&format!("  \"digest\": \"{:#018x}\",\n", space.digest()));
         out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
         out.push_str(&format!("  \"budget\": {},\n", cfg.budget));

@@ -40,7 +40,7 @@ pub mod retry;
 pub mod server;
 
 pub use net::{serve_lines, serve_tcp};
-pub use protocol::{parse_request, Priority, Request, RequestError, Value};
+pub use protocol::{parse_request, Priority, Request, RequestError};
 pub use queue::BoundedQueue;
 pub use retry::{backoff_delay, backoff_schedule, job_key, RetryConfig};
 pub use server::{

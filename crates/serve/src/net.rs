@@ -9,14 +9,17 @@
 //!
 //! A malformed line yields one `status:"error"` reply and the
 //! connection lives on — chaos clients deliberately interleave garbage
-//! with real jobs to prove exactly that.
+//! with real jobs to prove exactly that. Lines are read as bytes and
+//! never held past 64 KiB: a line that is not UTF-8 gets
+//! `bad_json`, and a longer one gets `line_too_long` and is skipped up to
+//! its newline.
 //!
 //! `shutdown` is the graceful-drain trigger for both transports (the
 //! workspace vendors no signal-handling crate, so SIGTERM cannot be
 //! hooked without `unsafe` libc bindings; EOF on stdin drains too,
 //! covering driver scripts that just close the pipe).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -25,7 +28,7 @@ use std::time::Duration;
 
 use codesign_trace::json::escape;
 
-use crate::protocol::{parse_request, reply_error};
+use crate::protocol::{parse_request, reply_error, RequestError};
 use crate::server::{Handle, JobRunner, Server, StatsSnapshot};
 
 /// What a dispatched line asked for.
@@ -46,12 +49,87 @@ fn reply_stats(id: &str, stats: &StatsSnapshot) -> String {
     )
 }
 
-fn dispatch_line<R: JobRunner>(line: &str, handle: &Handle<R>, tx: &Sender<String>) -> Dispatch {
-    let line = line.trim();
-    if line.is_empty() {
-        return Dispatch::Continue;
+/// The longest request line read, newline excluded. Requests name spec
+/// files rather than carry them, so real lines are far shorter.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Splits a byte stream into request lines of at most `MAX_LINE_BYTES`
+/// bytes. A read error, such as a socket read timeout, leaves a partly
+/// read line buffered, and the next call carries on with it.
+struct LineReader<R> {
+    input: R,
+    line: Vec<u8>,
+    /// Discarding the rest of an over-long line up to its newline.
+    skipping: bool,
+}
+
+impl<R: BufRead> LineReader<R> {
+    fn new(input: R) -> Self {
+        LineReader {
+            input,
+            line: Vec::new(),
+            skipping: false,
+        }
     }
-    match parse_request(line) {
+
+    /// The next line, newline stripped, or `None` at end of input. A line
+    /// over the limit is reported once as [`RequestError::LineTooLong`]
+    /// and skipped.
+    fn next_line(&mut self) -> std::io::Result<Option<Result<Vec<u8>, RequestError>>> {
+        loop {
+            if self.skipping {
+                self.line.clear();
+                let limit = MAX_LINE_BYTES as u64;
+                if (&mut self.input)
+                    .take(limit)
+                    .read_until(b'\n', &mut self.line)?
+                    == 0
+                {
+                    return Ok(None);
+                }
+                self.skipping = self.line.last() != Some(&b'\n');
+                self.line.clear();
+                continue;
+            }
+            // One byte past the limit: room for the newline, or the
+            // first byte that proves the line too long.
+            let room = (MAX_LINE_BYTES + 1 - self.line.len()) as u64;
+            let read = (&mut self.input)
+                .take(room)
+                .read_until(b'\n', &mut self.line)?;
+            if self.line.last() == Some(&b'\n') {
+                self.line.pop();
+                return Ok(Some(Ok(std::mem::take(&mut self.line))));
+            }
+            if read == 0 {
+                // End of input; a last line without a newline still counts.
+                return Ok((!self.line.is_empty()).then(|| Ok(std::mem::take(&mut self.line))));
+            }
+            if self.line.len() > MAX_LINE_BYTES {
+                self.line.clear();
+                self.skipping = true;
+                return Ok(Some(Err(RequestError::LineTooLong {
+                    limit: MAX_LINE_BYTES,
+                })));
+            }
+        }
+    }
+}
+
+fn dispatch_line<R: JobRunner>(
+    line: Result<Vec<u8>, RequestError>,
+    handle: &Handle<R>,
+    tx: &Sender<String>,
+) -> Dispatch {
+    let request = match line.map(String::from_utf8) {
+        Ok(Ok(text)) if text.trim().is_empty() => return Dispatch::Continue,
+        Ok(Ok(text)) => parse_request(text.trim()),
+        Ok(Err(e)) => Err(RequestError::BadJson {
+            detail: format!("not UTF-8 at byte {}", e.utf8_error().valid_up_to()),
+        }),
+        Err(e) => Err(e),
+    };
+    match request {
         Err(e) => {
             // One typed error per bad line; the connection survives.
             let _ = tx.send(reply_error(None, e.code(), &e.to_string()));
@@ -99,9 +177,9 @@ pub fn serve_lines<R: JobRunner>(
         rx.into_iter().collect()
     });
     let mut shutdown_id = None;
-    for line in input.lines() {
-        let line = line?;
-        match dispatch_line(&line, &handle, &tx) {
+    let mut lines = LineReader::new(input);
+    while let Some(line) = lines.next_line()? {
+        match dispatch_line(line, &handle, &tx) {
             Dispatch::Continue => {}
             Dispatch::Shutdown { id } => {
                 shutdown_id = Some(id);
@@ -148,36 +226,30 @@ fn connection_loop<R: JobRunner>(
     // A read timeout keeps idle connections from pinning the acceptor
     // open past shutdown.
     stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-    let mut lines = reader;
-    let mut buf = String::new();
+    let mut lines = LineReader::new(reader);
     loop {
-        match lines.read_line(&mut buf) {
-            Ok(0) => break, // EOF: client closed its half
-            Ok(_) => {
-                match dispatch_line(&buf, handle, &tx) {
-                    Dispatch::Continue => {}
-                    Dispatch::Shutdown { id } => {
-                        // Graceful drain: stop admissions, flush the
-                        // queue, let in-flight work finish, then report
-                        // and stop.
-                        handle.drain();
-                        handle.await_quiescence();
-                        let _ = tx.send(reply_stats(&id, &handle.stats()));
-                        stop.store(true, Ordering::SeqCst);
-                        break;
-                    }
+        match lines.next_line() {
+            Ok(None) => break, // EOF: client closed its half
+            Ok(Some(line)) => match dispatch_line(line, handle, &tx) {
+                Dispatch::Continue => {}
+                Dispatch::Shutdown { id } => {
+                    // Graceful drain: stop admissions, flush the queue,
+                    // let in-flight work finish, then report and stop.
+                    handle.drain();
+                    handle.await_quiescence();
+                    let _ = tx.send(reply_stats(&id, &handle.stats()));
+                    stop.store(true, Ordering::SeqCst);
+                    break;
                 }
-                buf.clear();
-            }
+            },
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                // A timeout can fire mid-line, with the line's head
-                // already appended to `buf`; keep it — the next
-                // `read_line` call appends the tail. Clearing here
-                // would split one request into two garbage lines and
-                // orphan the client's job.
+                // A timeout can fire mid-line; the reader keeps the
+                // line's head and the next call appends the tail.
+                // Dropping it would split one request into two garbage
+                // lines and orphan the client's job.
                 if stop.load(Ordering::SeqCst) {
                     break;
                 }
@@ -298,6 +370,72 @@ this is not json\n\
         let input = "{\"id\":\"only\",\"kind\":\"echo\"}\n";
         let mut out = Vec::new();
         let stats = serve_lines(server, Cursor::new(input), &mut out).unwrap();
+        assert_eq!(stats.ok, 1);
+        assert_eq!(stats.terminal(), stats.accepted);
+    }
+
+    /// Lines over the limit and lines that are not UTF-8 each get one
+    /// typed error, and the replies owed for earlier lines still arrive.
+    #[test]
+    fn stdio_answers_long_and_non_utf8_lines() {
+        let server = Server::new(EchoRunner, ServerConfig::default(), &Tracer::off());
+        let fits = b"{\"id\":\"fits\",\"kind\":\"echo\"}";
+        let mut input = b"{\"id\":\"s\",\"kind\":\"stats\"}\n".to_vec();
+        input.extend_from_slice(fits);
+        input.extend(std::iter::repeat_n(b' ', MAX_LINE_BYTES - fits.len()));
+        input.extend_from_slice(b"\n\xff\xfe\n");
+        input.extend(std::iter::repeat_n(b'x', 3 * MAX_LINE_BYTES));
+        input.extend_from_slice(b"\n{\"id\":\"after\",\"kind\":\"echo\"}\n");
+        let mut out = Vec::new();
+        let stats = serve_lines(server, Cursor::new(input), &mut out).unwrap();
+        let lines = output_lines(&out);
+        let count = |needle: &str| lines.iter().filter(|l| l.contains(needle)).count();
+        assert_eq!(count("\"id\":\"s\",\"status\":\"stats\""), 1, "{lines:?}");
+        assert_eq!(count("\"code\":\"bad_json\""), 1, "{lines:?}");
+        assert_eq!(count("\"code\":\"line_too_long\""), 1, "{lines:?}");
+        assert_eq!(count("echo:fits"), 1, "{lines:?}");
+        assert_eq!(count("echo:after"), 1, "{lines:?}");
+        assert_eq!(lines.len(), 5, "{lines:?}");
+        assert_eq!(stats.ok, 2);
+    }
+
+    #[test]
+    fn tcp_connections_survive_long_and_non_utf8_lines() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = Server::new(EchoRunner, ServerConfig::default(), &Tracer::off());
+        let acceptor = std::thread::spawn(move || serve_tcp(server, listener).unwrap());
+
+        let mut s = TcpStream::connect(addr).unwrap();
+        // A client that sends no newline for a while: the server holds
+        // at most the limit and answers once.
+        for _ in 0..4 {
+            s.write_all(&vec![b'x'; MAX_LINE_BYTES]).unwrap();
+        }
+        s.write_all(b"\n\xc3\x28\n{\"id\":\"c\",\"kind\":\"echo\"}\n")
+            .unwrap();
+        let mut r = BufReader::new(s.try_clone().unwrap());
+        let replies: Vec<String> = (0..3)
+            .map(|_| {
+                let mut line = String::new();
+                r.read_line(&mut line).unwrap();
+                line
+            })
+            .collect();
+        for needle in [
+            "\"code\":\"line_too_long\"",
+            "\"code\":\"bad_json\"",
+            "echo:c",
+        ] {
+            assert_eq!(
+                replies.iter().filter(|l| l.contains(needle)).count(),
+                1,
+                "{needle}: {replies:?}"
+            );
+        }
+
+        writeln!(s, "{{\"id\":\"down\",\"kind\":\"shutdown\"}}").unwrap();
+        let stats = acceptor.join().unwrap();
         assert_eq!(stats.ok, 1);
         assert_eq!(stats.terminal(), stats.accepted);
     }

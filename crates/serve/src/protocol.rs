@@ -26,56 +26,13 @@
 //! Malformed input never panics and never kills the connection: each
 //! bad line yields one `status:"error"` reply with a stable
 //! machine-readable code from [`RequestError::code`], and the reader
-//! moves on to the next line.
+//! moves on to the next line. Lines are parsed by the workspace's one
+//! JSON codec, [`codesign_trace::json`].
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use codesign_trace::json::escape;
-
-/// A scalar JSON value — the only value shape requests may carry.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// A (fully unescaped) string.
-    Str(String),
-    /// An integer (no decimal point or exponent in the source).
-    Int(i64),
-    /// A floating-point number.
-    Float(f64),
-    /// A boolean.
-    Bool(bool),
-    /// `null`.
-    Null,
-}
-
-impl Value {
-    /// The string payload, if this is a string.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The integer payload, if this is an integer.
-    #[must_use]
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a boolean.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
+use codesign_trace::json::{self, escape, Json};
 
 /// Job priority: three classes, strict precedence at dequeue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -132,14 +89,14 @@ pub struct Request {
     /// by runners built for chaos testing, rejected by none.
     pub chaos: Option<String>,
     /// Every remaining field, passed through to the runner.
-    pub params: BTreeMap<String, Value>,
+    pub params: BTreeMap<String, Json>,
 }
 
 /// Why a request line was rejected. [`RequestError::code`] is the
 /// stable wire identity of each case; tests pin the codes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RequestError {
-    /// The line is not syntactically valid JSON.
+    /// The line is not syntactically valid JSON (or not UTF-8).
     BadJson {
         /// What the parser choked on.
         detail: String,
@@ -168,6 +125,12 @@ pub enum RequestError {
         /// The value that was sent.
         got: String,
     },
+    /// The line is longer than the transport accepts; the rest of it
+    /// was discarded up to its newline.
+    LineTooLong {
+        /// The limit, in bytes.
+        limit: usize,
+    },
 }
 
 impl RequestError {
@@ -181,6 +144,7 @@ impl RequestError {
             RequestError::MissingField { .. } => "missing_field",
             RequestError::BadField { .. } => "bad_field",
             RequestError::BadPriority { .. } => "bad_priority",
+            RequestError::LineTooLong { .. } => "line_too_long",
         }
     }
 }
@@ -202,239 +166,44 @@ impl fmt::Display for RequestError {
             RequestError::BadPriority { got } => {
                 write!(f, "bad priority `{got}` (high|normal|low)")
             }
+            RequestError::LineTooLong { limit } => {
+                write!(f, "request line longer than {limit} bytes")
+            }
         }
     }
 }
 
 impl std::error::Error for RequestError {}
 
-// ---------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, what: impl Into<String>) -> RequestError {
-        RequestError::BadJson {
-            detail: format!("{} at byte {}", what.into(), self.pos),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\r' || b == b'\n' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), RequestError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, RequestError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(b) = self.peek() else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogates are rejected, not paired: the
-                            // protocol's payloads are reports this
-                            // workspace rendered, all BMP-or-escaped.
-                            let c = char::from_u32(hex)
-                                .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
-                            out.push(c);
-                        }
-                        other => {
-                            return Err(self.err(format!("unknown escape `\\{}`", other as char)))
-                        }
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8: copy the whole character.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    let end = start + width;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or_else(|| self.err("invalid UTF-8"))?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn parse_scalar(&mut self, key: &str) -> Result<Value, RequestError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'{' | b'[') => Err(RequestError::UnsupportedValue {
-                key: key.to_string(),
-            }),
-            Some(b't') => self.parse_word("true", Value::Bool(true)),
-            Some(b'f') => self.parse_word("false", Value::Bool(false)),
-            Some(b'n') => self.parse_word("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(other) => Err(self.err(format!("unexpected `{}`", other as char))),
-            None => Err(self.err("unexpected end of line")),
-        }
-    }
-
-    fn parse_word(&mut self, word: &str, value: Value) -> Result<Value, RequestError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(format!("expected `{word}`")))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, RequestError> {
-        let start = self.pos;
-        let mut float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' | b'-' | b'+' => self.pos += 1,
-                b'.' | b'e' | b'E' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
-        if float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| self.err(format!("bad number `{text}`")))
-        } else {
-            text.parse::<i64>()
-                .map(Value::Int)
-                .map_err(|_| self.err(format!("bad number `{text}`")))
-        }
-    }
-
-    /// Parses the whole line as a flat object.
-    fn parse_object(&mut self) -> Result<BTreeMap<String, Value>, RequestError> {
-        self.skip_ws();
-        if self.peek() != Some(b'{') {
-            // Distinguish "valid JSON, wrong shape" (array/scalar →
-            // `not_object`) from line noise (→ `bad_json`).
-            return match self.peek() {
-                Some(b'[') => Err(RequestError::NotObject),
-                Some(_) => match self.parse_scalar("") {
-                    Ok(_) if self.pos == self.bytes.len() => Err(RequestError::NotObject),
-                    Ok(_) => Err(self.err("trailing characters")),
-                    Err(RequestError::BadJson { detail }) => Err(RequestError::BadJson { detail }),
-                    Err(_) => Err(RequestError::NotObject),
-                },
-                None => Err(self.err("empty line")),
-            };
-        }
-        self.pos += 1;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-        } else {
-            loop {
-                self.skip_ws();
-                let key = self.parse_string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                let value = self.parse_scalar(&key)?;
-                map.insert(key, value);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return Err(self.err("expected `,` or `}`")),
-                }
-            }
-        }
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing characters after object"));
-        }
-        Ok(map)
-    }
-}
-
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
 /// Parses one request line. Never panics, whatever the input.
+///
+/// When several codes apply, the first check that fails names the
+/// error: `bad_json` (not JSON), `not_object`, `unsupported_value`
+/// (first nested member), then the fields `id`, `kind`, `priority`,
+/// `deadline_ms` and `chaos`, in that order. A repeated key keeps its
+/// last value.
 pub fn parse_request(line: &str) -> Result<Request, RequestError> {
-    let mut map = Parser::new(line).parse_object()?;
-    let take_str = |map: &mut BTreeMap<String, Value>,
+    let members = match json::parse(line) {
+        Err(detail) => return Err(RequestError::BadJson { detail }),
+        Ok(Json::Object(members)) => members,
+        Ok(_) => return Err(RequestError::NotObject),
+    };
+    if let Some((key, _)) = members
+        .iter()
+        .find(|(_, v)| matches!(v, Json::Array(_) | Json::Object(_)))
+    {
+        return Err(RequestError::UnsupportedValue { key: key.clone() });
+    }
+    let mut map: BTreeMap<String, Json> = members.into_iter().collect();
+    let take_str = |map: &mut BTreeMap<String, Json>,
                     field: &'static str|
      -> Result<Option<String>, RequestError> {
         match map.remove(field) {
             None => Ok(None),
-            Some(Value::Str(s)) => Ok(Some(s)),
+            Some(Json::Str(s)) => Ok(Some(s)),
             Some(other) => Err(RequestError::BadField {
                 field: field.to_string(),
-                detail: format!("expected a string, got {other:?}"),
+                detail: format!("expected a string, got {other}"),
             }),
         }
     };
@@ -445,14 +214,15 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
         Some(p) => Priority::parse(&p).ok_or(RequestError::BadPriority { got: p })?,
     };
     let deadline_ms = match map.remove("deadline_ms") {
-        None | Some(Value::Null) => None,
-        Some(Value::Int(n)) if n >= 0 => Some(n as u64),
-        Some(other) => {
-            return Err(RequestError::BadField {
-                field: "deadline_ms".to_string(),
-                detail: format!("expected a non-negative integer, got {other:?}"),
-            })
-        }
+        None | Some(Json::Null) => None,
+        Some(v) => Some(
+            v.as_int()
+                .and_then(|n| u64::try_from(n).ok())
+                .ok_or_else(|| RequestError::BadField {
+                    field: "deadline_ms".to_string(),
+                    detail: format!("expected a non-negative integer, got {v}"),
+                })?,
+        ),
     };
     let chaos = take_str(&mut map, "chaos")?;
     Ok(Request {
@@ -521,13 +291,53 @@ pub fn reply_draining(id: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codesign_trace::{validate_chrome_trace, Arg, Tracer};
+
+    const FULL_REQUEST: &str = r#"{"id":"j1","kind":"cosim","priority":"high","deadline_ms":500,"chaos":"panic","spec":"sys demo\n","budget":3,"sharing":true}"#;
+    const DEFAULT_REQUEST: &str = r#"{"id":"a","kind":"faults"}"#;
+    const UNICODE_REQUEST: &str = r#"{"id":"jé","kind":"k","note":"héllo ☃"}"#;
+    const NUMBERS_REQUEST: &str = r#"{"id":"x","kind":"k","a":-7,"b":2.5,"c":null}"#;
+
+    /// Every malformed shape and the code it must get.
+    const MALFORMED: [(&str, &str); 14] = [
+        ("not json at all", "bad_json"),
+        ("{\"id\":\"x\",", "bad_json"),
+        ("01", "bad_json"),
+        ("{\"id\":\"a\u{1}b\",\"kind\":\"k\"}", "bad_json"),
+        (r#"{"id":"\ud800","kind":"k"}"#, "bad_json"),
+        ("[1,2,", "bad_json"),
+        (r#"{"id":"x","kind":"k","n":{"#, "bad_json"),
+        ("[1,2,3]", "not_object"),
+        (
+            r#"{"id":"x","kind":"k","nested":{"a":1}}"#,
+            "unsupported_value",
+        ),
+        (r#"{"kind":"k"}"#, "missing_field"),
+        (r#"{"id":"x"}"#, "missing_field"),
+        (
+            r#"{"id":"x","kind":"k","priority":"urgent"}"#,
+            "bad_priority",
+        ),
+        (r#"{"id":"x","kind":"k","deadline_ms":-4}"#, "bad_field"),
+        (
+            r#"{"id":"x","kind":"k","deadline_ms":9223372036854775808}"#,
+            "bad_field",
+        ),
+    ];
+
+    fn replies() -> [String; 5] {
+        [
+            reply_ok("a", 2, "{\n  \"x\": 1\n}\n"),
+            reply_error(Some("b"), "watchdog", "stalled\nbadly"),
+            reply_error(None, "bad_json", "oops"),
+            reply_shed("c", 64, 64),
+            reply_draining("d"),
+        ]
+    }
 
     #[test]
     fn parses_a_full_request() {
-        let r = parse_request(
-            r#"{"id":"j1","kind":"cosim","priority":"high","deadline_ms":500,"chaos":"panic","spec":"sys demo\n","budget":3,"sharing":true}"#,
-        )
-        .unwrap();
+        let r = parse_request(FULL_REQUEST).unwrap();
         assert_eq!(r.id, "j1");
         assert_eq!(r.kind, "cosim");
         assert_eq!(r.priority, Priority::High);
@@ -540,7 +350,7 @@ mod tests {
 
     #[test]
     fn defaults_are_normal_priority_no_deadline() {
-        let r = parse_request(r#"{"id":"a","kind":"faults"}"#).unwrap();
+        let r = parse_request(DEFAULT_REQUEST).unwrap();
         assert_eq!(r.priority, Priority::Normal);
         assert_eq!(r.deadline_ms, None);
         assert_eq!(r.chaos, None);
@@ -549,23 +359,7 @@ mod tests {
 
     #[test]
     fn every_malformed_shape_gets_its_own_code() {
-        let cases: [(&str, &str); 8] = [
-            ("not json at all", "bad_json"),
-            ("{\"id\":\"x\",", "bad_json"),
-            ("[1,2,3]", "not_object"),
-            (
-                r#"{"id":"x","kind":"k","nested":{"a":1}}"#,
-                "unsupported_value",
-            ),
-            (r#"{"kind":"k"}"#, "missing_field"),
-            (r#"{"id":"x"}"#, "missing_field"),
-            (
-                r#"{"id":"x","kind":"k","priority":"urgent"}"#,
-                "bad_priority",
-            ),
-            (r#"{"id":"x","kind":"k","deadline_ms":-4}"#, "bad_field"),
-        ];
-        for (line, code) in cases {
+        for (line, code) in MALFORMED {
             let err = parse_request(line).expect_err(line);
             assert_eq!(err.code(), code, "line: {line}, err: {err}");
         }
@@ -582,20 +376,14 @@ mod tests {
 
     #[test]
     fn unicode_payloads_survive() {
-        let r = parse_request(r#"{"id":"jé","kind":"k","note":"héllo ☃"}"#).unwrap();
+        let r = parse_request(UNICODE_REQUEST).unwrap();
         assert_eq!(r.id, "jé");
         assert_eq!(r.params["note"].as_str(), Some("héllo ☃"));
     }
 
     #[test]
     fn replies_are_single_lines() {
-        let replies = [
-            reply_ok("a", 2, "{\n  \"x\": 1\n}\n"),
-            reply_error(Some("b"), "watchdog", "stalled\nbadly"),
-            reply_error(None, "bad_json", "oops"),
-            reply_shed("c", 64, 64),
-            reply_draining("d"),
-        ];
+        let replies = replies();
         for r in &replies {
             assert!(!r.contains('\n'), "{r}");
         }
@@ -605,9 +393,95 @@ mod tests {
 
     #[test]
     fn numbers_parse_to_the_right_shapes() {
-        let r = parse_request(r#"{"id":"x","kind":"k","a":-7,"b":2.5,"c":null}"#).unwrap();
+        let r = parse_request(NUMBERS_REQUEST).unwrap();
         assert_eq!(r.params["a"].as_int(), Some(-7));
-        assert_eq!(r.params["b"], Value::Float(2.5));
-        assert_eq!(r.params["c"], Value::Null);
+        assert_eq!(r.params["b"], Json::Num("2.5".into()));
+        assert_eq!(r.params["c"], Json::Null);
+    }
+
+    /// Seeded mutations of the documents these tests build (request
+    /// lines, every reply shape, a Chrome trace): truncated, bit-flipped,
+    /// with bytes inserted and slices of other documents spliced in. No
+    /// parser panics, a line is `bad_json` exactly when it is not JSON,
+    /// and whatever parses renders back to the same tree.
+    #[test]
+    fn mutated_documents_never_panic_the_parsers() {
+        const ITERATIONS: usize = 20_000;
+        const INSERTS: &[u8] = b"{}[]\",:\\u0123456789.-eEtrufalsn \t\n\x01\x7f\xc3\xa9\xff";
+
+        let tracer = Tracer::on();
+        let track = tracer.track("cpu \"0\"");
+        tracer.span(
+            track,
+            "run",
+            0,
+            10,
+            &[("n", Arg::U64(3)), ("f", Arg::F64(0.5))],
+        );
+        tracer.instant(track, "irq\n", 4, &[("s", Arg::Str("a\\b\u{1}".into()))]);
+        tracer.counter(track, "depth", 6, 2);
+        let trace = tracer.to_chrome_json();
+        validate_chrome_trace(&trace).unwrap();
+
+        let mut corpus: Vec<String> = [
+            FULL_REQUEST,
+            DEFAULT_REQUEST,
+            UNICODE_REQUEST,
+            NUMBERS_REQUEST,
+        ]
+        .map(String::from)
+        .into_iter()
+        .chain(replies())
+        .chain([trace])
+        .collect();
+        for doc in &corpus {
+            json::parse(doc).unwrap_or_else(|e| panic!("{e}: {doc}"));
+        }
+        corpus.extend(MALFORMED.map(|(line, _)| line.to_string()));
+
+        // splitmix64: a fixed seed, so a failure reproduces.
+        let mut state = 0x5EED_u64;
+        let mut below = |bound: usize| -> usize {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        for _ in 0..ITERATIONS {
+            let mut doc = corpus[below(corpus.len())].as_bytes().to_vec();
+            for _ in 0..=below(3) {
+                match below(4) {
+                    0 => doc.truncate(below(doc.len() + 1)),
+                    1 if !doc.is_empty() => {
+                        let at = below(doc.len());
+                        doc[at] ^= 1 << below(8);
+                    }
+                    2 => {
+                        let byte = INSERTS[below(INSERTS.len())];
+                        doc.insert(below(doc.len() + 1), byte);
+                    }
+                    _ => {
+                        let other = corpus[below(corpus.len())].as_bytes();
+                        let from = below(other.len() + 1);
+                        let to = from + below(other.len() - from + 1);
+                        let at = below(doc.len() + 1);
+                        doc.splice(at..at, other[from..to].iter().copied());
+                    }
+                }
+            }
+            let text = String::from_utf8_lossy(&doc);
+            let parsed = json::parse(&text);
+            let request = parse_request(&text);
+            let _ = validate_chrome_trace(&text);
+            assert_eq!(
+                parsed.is_err(),
+                matches!(request, Err(RequestError::BadJson { .. })),
+                "{text}"
+            );
+            if let Ok(tree) = parsed {
+                assert_eq!(json::parse(&tree.to_string()), Ok(tree), "{text}");
+            }
+        }
     }
 }

@@ -20,6 +20,7 @@ use codesign_serve::{
     backoff_schedule, BoundedQueue, JobError, JobRunner, Priority, Request, RetryConfig, Server,
     ServerConfig, SubmitOutcome,
 };
+use codesign_trace::json::{self, Json};
 use codesign_trace::Tracer;
 use proptest::prelude::*;
 
@@ -170,12 +171,11 @@ proptest! {
         let replies: Vec<String> = rx.into_iter().collect();
         prop_assert_eq!(replies.len() as u64, accepted + not_accepted);
         // No reply id appears twice (no duplicated results).
-        let mut ids: Vec<&str> = replies
+        let mut ids: Vec<String> = replies
             .iter()
             .map(|r| {
-                let start = r.find("\"id\":\"").expect("id field") + 6;
-                let end = r[start..].find('"').expect("close quote") + start;
-                &r[start..end]
+                let reply = json::parse(r).expect("replies are JSON");
+                reply.get("id").and_then(Json::as_str).expect("an id").to_string()
             })
             .collect();
         ids.sort_unstable();

@@ -42,3 +42,8 @@ pub mod message;
 pub mod pinproto;
 
 pub use error::SimError;
+
+/// The tracing layer the engines report to (`set_tracer`), re-exported
+/// so dependents can name its types and share its JSON codec without a
+/// manifest entry of their own.
+pub use codesign_trace as trace;

@@ -27,9 +27,9 @@
 //! wall-clock harnesses); each [`TrackId`] is one timeline, so units only
 //! need to be consistent *within* a track.
 //!
-//! Two small helpers every layer shares live here too, so each exists
-//! once: the FNV-1a content hash ([`hash`]) and the JSON string escaper
-//! ([`json::escape`]).
+//! Two helpers every layer shares live here too, so each exists once:
+//! the FNV-1a content hash ([`hash`]) and the JSON codec ([`json`]: one
+//! value type, one strict parser, one string escaper).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -24,6 +24,9 @@ cargo clippy --all-targets -- -D warnings
 echo "== bench-cosim smoke (1 iteration, gates round reduction) =="
 cargo run --release -q -p codesign-bench --bin bench-cosim -- --smoke
 
+echo "== bench-partition smoke (16 tasks, gates determinism) =="
+cargo run --release -q -p codesign-bench --bin bench-partition -- --smoke
+
 echo "== bench-faults smoke (10 seeds, gates class accounting) =="
 cargo run --release -q -p codesign-bench --bin bench-faults -- --smoke
 

@@ -3,6 +3,8 @@
 use std::io::Write as _;
 use std::process::Command;
 
+use codesign::trace::json::{self, Json};
+
 fn codesign(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_codesign"))
         .args(args)
@@ -459,28 +461,32 @@ fn serve_stdio(input: &str) -> (String, String, bool) {
     )
 }
 
-/// Unescapes the `"result"` string of an `ok` reply line.
-fn served_result(reply: &str) -> String {
-    let start = reply.find("\"result\":\"").expect("result field") + 10;
-    let bytes = &reply.as_bytes()[start..];
-    let mut out = String::new();
-    let mut i = 0;
-    loop {
-        match bytes[i] {
-            b'"' => return out,
-            b'\\' => {
-                i += 1;
-                match bytes[i] {
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    other => out.push(other as char),
-                }
-            }
-            other => out.push(other as char),
-        }
-        i += 1;
-    }
+/// Every reply line in `out`, parsed.
+fn replies(out: &str) -> Vec<Json> {
+    out.lines()
+        .map(|l| json::parse(l).unwrap_or_else(|e| panic!("{e}: {l}")))
+        .collect()
+}
+
+/// The reply to request `id` with `status`.
+fn reply<'a>(replies: &'a [Json], id: &str, status: &str) -> &'a Json {
+    replies
+        .iter()
+        .find(|r| {
+            r.get("id").and_then(Json::as_str) == Some(id)
+                && r.get("status").and_then(Json::as_str) == Some(status)
+        })
+        .unwrap_or_else(|| panic!("no `{status}` reply for `{id}` in {replies:?}"))
+}
+
+/// The `result` of the `ok` reply to request `id` among the reply lines
+/// in `out`.
+fn ok_result(out: &str, id: &str) -> String {
+    let replies = replies(out);
+    let result = reply(&replies, id, "ok")
+        .get("result")
+        .and_then(Json::as_str);
+    result.expect("an ok reply carries a result").to_string()
 }
 
 #[test]
@@ -501,20 +507,23 @@ fn serve_names_every_malformed_request_code() {
     assert!(ok, "serve must exit cleanly: {err}");
     // One named, machine-readable code per malformed shape — and the
     // server survives all of them to answer the shutdown.
+    let replies = replies(&out);
+    let codes: Vec<&str> = replies
+        .iter()
+        .filter_map(|r| r.get("code").and_then(Json::as_str))
+        .collect();
     for code in [
-        "\"code\":\"bad_json\"",      // unparseable line
-        "\"code\":\"unknown_kind\"",  // no such job kind
-        "\"code\":\"missing_field\"", // partition without a spec
-        "\"code\":\"bad_field\"",     // budget out of range
-        "\"code\":\"bad_spec\"",      // unreadable spec file
-        "\"code\":\"bad_priority\"",  // priority not high|normal|low
+        "bad_json",      // unparseable line
+        "unknown_kind",  // no such job kind
+        "missing_field", // partition without a spec
+        "bad_field",     // budget out of range
+        "bad_spec",      // unreadable spec file
+        "bad_priority",  // priority not high|normal|low
     ] {
-        assert!(out.contains(code), "{code} missing in: {out}");
+        assert!(codes.contains(&code), "{code} missing in: {out}");
     }
-    assert!(
-        out.contains("\"id\":\"z\",\"status\":\"stats\""),
-        "shutdown must report final stats: {out}"
-    );
+    // The shutdown must report final stats.
+    reply(&replies, "z", "stats");
 }
 
 #[test]
@@ -535,12 +544,8 @@ fn serve_results_are_byte_identical_to_the_cli() {
     let (out, err, ok) = serve_stdio(&input);
     assert!(ok, "serve must exit cleanly: {err}");
     for (id, cli_bytes) in [("part", &cli_partition), ("cosim", &cli_cosim)] {
-        let reply = out
-            .lines()
-            .find(|l| l.starts_with(&format!("{{\"id\":\"{id}\",\"status\":\"ok\"")))
-            .unwrap_or_else(|| panic!("no ok reply for {id}: {out}"));
         assert_eq!(
-            &served_result(reply),
+            &ok_result(&out, id),
             cli_bytes,
             "served `{id}` bytes must equal the direct CLI run"
         );
@@ -558,16 +563,81 @@ fn serve_retries_transient_chaos_and_reports_attempts() {
     );
     let (out, err, ok) = serve_stdio(&input);
     assert!(ok, "serve must exit cleanly: {err}");
-    let reply = out
-        .lines()
-        .find(|l| l.starts_with("{\"id\":\"flaky\",\"status\":\"ok\""))
-        .unwrap_or_else(|| panic!("flaky job must heal: {out}"));
-    assert!(
-        reply.contains("\"attempts\":3"),
-        "two injected faults then success = 3 attempts: {reply}"
+    let replies = replies(&out);
+    // Two injected faults then success = 3 attempts.
+    let flaky = reply(&replies, "flaky", "ok");
+    assert_eq!(
+        flaky.get("attempts").and_then(Json::as_int),
+        Some(3),
+        "{out}"
     );
-    assert!(
-        out.contains("\"retried\":2"),
-        "final stats must count both retries: {out}"
+    // The final stats count both retries.
+    let stats = reply(&replies, "z", "stats").get("stats");
+    assert_eq!(
+        stats.and_then(|s| s.get("retried")).and_then(Json::as_int),
+        Some(2),
+        "{out}"
     );
+}
+
+/// A spec whose system and task names need escaping: every JSON report,
+/// run directly or served, must parse and give the names back unchanged.
+#[test]
+fn json_reports_escape_system_and_task_names() {
+    let sample = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../examples/specs/radio_link.cds");
+    let text = std::fs::read_to_string(sample)
+        .expect("sample spec")
+        .replace("system radio_link", "system radio\"link\\x")
+        .replace("task sample ", "task sam\"ple ")
+        .replace("edge sample ", "edge sam\"ple ");
+    let mut f = tempfile::NamedTempFile::new().expect("temp file");
+    f.write_all(text.as_bytes()).expect("writes spec");
+    let path = f.into_temp_path();
+    let spec = path.to_str().unwrap();
+
+    let check = |kind: &str, report: &str| {
+        let doc = json::parse(report).unwrap_or_else(|e| panic!("{kind}: {e}\n{report}"));
+        let name = if kind == "explore" { "spec" } else { "system" };
+        assert_eq!(
+            doc.get(name).and_then(Json::as_str),
+            Some("radio\"link\\x"),
+            "{kind}: {report}"
+        );
+        if kind == "partition" {
+            let Some(Json::Array(tasks)) = doc.get("tasks") else {
+                panic!("no tasks: {report}")
+            };
+            assert_eq!(
+                tasks[0].get("name").and_then(Json::as_str),
+                Some("sam\"ple")
+            );
+        }
+    };
+    for (kind, extra) in [
+        ("partition", None),
+        ("explore", Some("16")),
+        ("cosim", None),
+    ] {
+        let mut args = vec![kind, spec, "--json"];
+        if let Some(budget) = extra {
+            args.extend(["--budget", budget]);
+        }
+        let (out, err, ok) = codesign(&args);
+        assert!(ok, "{kind}: {err}");
+        check(kind, &out);
+    }
+
+    let spec = json::escape(spec);
+    let input = format!(
+        "{{\"id\":\"partition\",\"kind\":\"partition\",\"spec\":\"{spec}\"}}\n\
+         {{\"id\":\"explore\",\"kind\":\"explore\",\"spec\":\"{spec}\",\"budget\":16}}\n\
+         {{\"id\":\"cosim\",\"kind\":\"cosim\",\"spec\":\"{spec}\"}}\n\
+         {{\"id\":\"w\",\"kind\":\"wait\"}}\n"
+    );
+    let (out, err, ok) = serve_stdio(&input);
+    assert!(ok, "serve must exit cleanly: {err}");
+    for kind in ["partition", "explore", "cosim"] {
+        check(kind, &ok_result(&out, kind));
+    }
 }
