@@ -55,15 +55,13 @@ use std::time::Instant;
 use codesign_bench::jsonout;
 use codesign_hls::{synthesize, Constraints};
 use codesign_ir::workload::kernels;
-use codesign_isa::asm::assemble;
-use codesign_isa::cpu::Cpu;
-use codesign_rtl::bus::{timer_regs, BusPhy, BusSlave, BusTiming, DrainFifo, SystemBus, Timer};
+use codesign_rtl::bus::{timer_regs, BusPhy, BusSlave, Timer};
 use codesign_rtl::fsmd::FsmdSim;
 use codesign_rtl::netlist::{GateKind, NetId, Netlist};
 use codesign_rtl::sim::Simulator;
 use codesign_sim::adapters::FsmdEngine;
 use codesign_sim::engine::{Coordinator, CoordinatorStats, SimEngine};
-use codesign_sim::ladder::{message_scenario, producer_program, LadderConfig};
+use codesign_sim::ladder::{build_cpu, message_scenario, producer_program, LadderConfig};
 use codesign_sim::message::{MessageConfig, MessageEngine};
 use codesign_sim::pinproto::PinPhy;
 use codesign_synth::coproc::{characterize, process_network, Application};
@@ -334,21 +332,15 @@ fn iss_run(iterations: u32) -> u64 {
         iterations,
         ..LadderConfig::default()
     };
-    let mut bus = SystemBus::new(BusTiming::default());
-    bus.map(
-        0x0,
-        0x100,
-        Box::new(DrainFifo::new(cfg.fifo_capacity, cfg.drain_period)),
-    )
-    .expect("fifo maps");
+    let spec = cfg.spec().expect("a valid ladder config");
+    let mut cpu = build_cpu(&spec, &producer_program(&cfg), false).expect("producer builds");
     let mut timer = Timer::new();
     timer.write(timer_regs::LOAD, 1_000);
     timer.write(timer_regs::CTRL, 0b101); // enable, auto-reload, no irq
-    bus.map(0x100, 0x10, Box::new(timer)).expect("timer maps");
-    let program = assemble(&producer_program(&cfg)).expect("producer assembles");
-    let mut cpu = Cpu::new(4096);
-    cpu.attach_bus(bus);
-    cpu.load_program(&program);
+    cpu.bus_mut()
+        .expect("bus attached")
+        .map(0x100, 0x10, Box::new(timer))
+        .expect("timer maps");
     cpu.run(u64::MAX).expect("producer halts").instructions
 }
 

@@ -156,7 +156,7 @@ fn gap_rows(app: &CharacterizedApp, sweep_run: &Run) -> Vec<String> {
             .min_by(|a, b| a.score.cost.total_cmp(&b.score.cost));
         let Some(entry) = best else { continue };
         let partition = Partition::from_sides(entry.point.assignment.clone());
-        let measured = realize(app, &partition).expect("front entry realizes");
+        let measured = realize(app, &partition, &Tracer::off()).expect("front entry realizes");
         assert!(measured.verified, "realized system failed verification");
         let measured_area: f64 = entry
             .point

@@ -31,6 +31,8 @@
 
 use std::fmt::Write as _;
 
+use codesign_trace::Tracer;
+
 /// Shared plumbing for the `bench-*` binaries: the common
 /// `[--smoke] [out.json]` argument convention and the standard
 /// benchmark JSON document shape (a `"benchmark"` name, descriptive
@@ -207,7 +209,7 @@ pub fn e3_ladder() -> ExperimentReport {
             message_bytes: bytes,
             ..LadderConfig::default()
         };
-        let reports = run_ladder(&cfg).expect("ladder runs");
+        let reports = run_ladder(&cfg, &Tracer::off()).expect("ladder runs");
         let errors = timing_errors(&reports);
         for (r, (_, err)) in reports.iter().zip(&errors) {
             let _ = writeln!(
@@ -517,7 +519,7 @@ pub fn e8_coproc() -> ExperimentReport {
             );
         }
     }
-    let all_sw = realize(&app, &Partition::all_sw(g.len())).expect("sw runs");
+    let all_sw = realize(&app, &Partition::all_sw(g.len()), &Tracer::off()).expect("sw runs");
     let (best, _) = partition_app(
         &app,
         Objective::performance_driven(deadline),
@@ -525,7 +527,7 @@ pub fn e8_coproc() -> ExperimentReport {
         true,
     )
     .expect("partitioning");
-    let mixed = realize(&app, &best).expect("mixed runs");
+    let mixed = realize(&app, &best, &Tracer::off()).expect("mixed runs");
     ExperimentReport {
         id: "E8",
         title: "Figure 8 co-processor partitioning (+ sharing-aware ablation)",
@@ -626,10 +628,15 @@ pub fn e9_mthread() -> ExperimentReport {
     let cfg = MthreadConfig::default();
     for seed in 0..6u64 {
         let net = chatty_scenario(seed);
-        let all_sw =
-            simulate(&net, &Placement::all_software(net.len()), &cfg.sim).expect("baseline");
+        let all_sw = simulate(
+            &net,
+            &Placement::all_software(net.len()),
+            &cfg.sim,
+            &Tracer::off(),
+        )
+        .expect("baseline");
         let naive = compute_only(&net, &cfg).expect("naive");
-        let aware = comm_aware(&net, &cfg).expect("aware");
+        let aware = comm_aware(&net, &cfg, &Tracer::off()).expect("aware");
         let opt = exhaustive(&net, &cfg).expect("optimum");
         if aware.report.finish_time < naive.report.finish_time {
             aware_wins += 1;

@@ -11,9 +11,10 @@
 //!
 //! * [`runner`] — realizes one generated
 //!   [`SystemSpec`](codesign_ir::workload::sysgen::SystemSpec) at all
-//!   four levels and extracts the architected observables (payload bytes
-//!   per channel, interrupt counts, final architectural state, channel
-//!   completion order) plus each level's simulated cycles;
+//!   four levels through `codesign_sim::ladder`'s realization, which
+//!   extracts the architected observables (payload bytes per channel,
+//!   interrupt counts, final architectural state, channel completion
+//!   order) plus each level's simulated cycles;
 //! * [`observables`] — the observable definitions, the per-level modeled
 //!   cycle-error bounds, and the check that turns a four-level run into
 //!   a (hopefully empty) list of [`observables::Divergence`]s;

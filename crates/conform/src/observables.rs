@@ -25,9 +25,9 @@
 //! sweep maxima with headroom (the sweep reports measured maxima next
 //! to the bounds, so drift is visible).
 
-use crate::runner::{LevelRun, SystemRun};
 use codesign_ir::workload::sysgen::SystemSpec;
-use codesign_sim::ladder::AbstractionLevel;
+pub use codesign_sim::ladder::rel_err;
+use codesign_sim::ladder::{AbstractionLevel, LevelRun, SystemRun};
 
 /// Modeled cycle-error bound of the register level relative to pin.
 ///
@@ -79,20 +79,6 @@ pub fn rel_bound(level: AbstractionLevel) -> f64 {
         AbstractionLevel::Register => REGISTER_REL_BOUND,
         AbstractionLevel::Driver => DRIVER_REL_BOUND,
         AbstractionLevel::Message => MESSAGE_REL_BOUND,
-    }
-}
-
-/// Relative cycle error of `run` against the pin reference.
-#[must_use]
-pub fn rel_err(pin_cycles: u64, cycles: u64) -> f64 {
-    if pin_cycles == 0 {
-        if cycles == 0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        (cycles as f64 - pin_cycles as f64).abs() / pin_cycles as f64
     }
 }
 

@@ -1,16 +1,17 @@
 //! Realizes one generated [`SystemSpec`] at all four Figure 3 levels.
 //!
-//! The same specification — memory map, channels, IRQ wiring — is
-//! turned into:
+//! The realization itself — bus, ISS run, driver model, message-level
+//! run — is [`codesign_sim::ladder`]'s, the same one the E3 ladder uses.
+//! This module supplies what a generated spec needs on top:
 //!
 //! * **pin** / **register**: one CR32 program (see
 //!   [`conformance_program`]) driving the real bus, with and without the
 //!   gate-level pin protocol installed;
-//! * **driver**: the analytic driver-call cost model, generalized from
-//!   the ladder's single channel to the spec's channel list plus an
-//!   interrupt service term;
+//! * **driver**: the shared driver model over the spec's channel list
+//!   plus its interrupt service term;
 //! * **message**: a `1 + N`-process rendezvous network (one software
-//!   producer, one hardware consumer per channel).
+//!   producer, one hardware consumer per channel; see
+//!   [`message_network`]).
 //!
 //! The program is *timing-closed in its final state*: every register
 //! that can legitimately differ between pin and register level (the
@@ -21,73 +22,13 @@ use std::fmt::Write as _;
 
 use codesign_ir::process::{Action, Process, ProcessNetwork};
 use codesign_ir::workload::sysgen::{DeviceKind, SystemSpec};
-use codesign_isa::asm::assemble;
-use codesign_isa::cpu::{Cpu, MMIO_BASE};
-use codesign_rtl::bus::{
-    fifo_regs, uart_regs, BusTiming, DrainFifo, Gpio, Ram, SystemBus, Timer, Uart,
-};
-// FNV-1a over registers then memory; shared with the replay subsystem,
-// whose time-travel restores must land on exactly the digests
-// conformance pins.
-use codesign_sim::fingerprint::cpu_state_digest as state_digest;
-use codesign_sim::ladder::{AbstractionLevel, DriverCosts};
-use codesign_sim::message::{simulate, MessageConfig, Placement, Resource};
-use codesign_sim::pinproto::PinPhy;
+use codesign_isa::cpu::MMIO_BASE;
+use codesign_rtl::bus::{fifo_regs, uart_regs};
+use codesign_sim::ladder::{realize_driver, realize_iss, realize_message, SystemRun};
+use codesign_sim::message::{MessageConfig, Placement, Resource};
+use codesign_sim::trace::Tracer;
 
 use crate::ConformError;
-
-/// Cycle budget for one generated system at an ISS level.
-const RUN_BUDGET: u64 = 1_000_000_000;
-
-/// Analytic cost the driver level charges per serviced interrupt:
-/// entry overhead (4) plus the five-instruction handler with one bus
-/// read (≈ 12 cycles on the CR32).
-pub const DRIVER_IRQ_COST: u64 = 16;
-
-/// One level's realization of a system.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LevelRun {
-    /// The level realized.
-    pub level: AbstractionLevel,
-    /// End-to-end simulated cycles (including residual FIFO drain at
-    /// the ISS levels).
-    pub cycles: u64,
-    /// Payload bytes that crossed each channel, in spec channel order.
-    pub per_channel_bytes: Vec<u64>,
-    /// Interrupts taken (ISS levels only).
-    pub irqs: Option<u64>,
-    /// FNV-1a digest of the final architectural state — register file
-    /// plus data memory (ISS levels only).
-    pub digest: Option<u64>,
-    /// Channel indices ordered by when each received its last bus write
-    /// (ISS levels only).
-    pub write_order: Option<Vec<usize>>,
-    /// Messages delivered (message level only).
-    pub messages: Option<u64>,
-    /// Simulation-kernel events processed — the Figure 3 cost currency.
-    pub kernel_events: u64,
-}
-
-/// A system realized at all four levels.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SystemRun {
-    /// Pin-level (reference) realization.
-    pub pin: LevelRun,
-    /// Register-level realization.
-    pub register: LevelRun,
-    /// Driver-level realization.
-    pub driver: LevelRun,
-    /// Message-level realization.
-    pub message: LevelRun,
-}
-
-impl SystemRun {
-    /// The four runs, bottom (reference) to top.
-    #[must_use]
-    pub fn levels(&self) -> [&LevelRun; 4] {
-        [&self.pin, &self.register, &self.driver, &self.message]
-    }
-}
 
 /// The spec's UART region (base, preloaded rx bytes), if wired.
 fn uart_of(spec: &SystemSpec) -> Option<(u32, &[u8])> {
@@ -157,138 +98,6 @@ pub fn conformance_program(spec: &SystemSpec) -> String {
     s
 }
 
-/// Builds the spec's memory map on a fresh bus.
-fn build_bus(spec: &SystemSpec) -> Result<SystemBus, ConformError> {
-    let mut bus = SystemBus::new(BusTiming::default());
-    for (i, region) in spec.regions.iter().enumerate() {
-        let slave: Box<dyn codesign_rtl::bus::BusSlave> = match &region.kind {
-            DeviceKind::Fifo {
-                capacity,
-                drain_period,
-            } => Box::new(DrainFifo::new(*capacity, *drain_period)),
-            DeviceKind::Ram => Box::new(Ram::new(format!("ram{i}"), region.size)),
-            DeviceKind::Gpio => Box::new(Gpio::new()),
-            DeviceKind::Timer => Box::new(Timer::new()),
-            DeviceKind::Uart { irq_rx } => {
-                let mut uart = Uart::new();
-                for &b in irq_rx {
-                    uart.inject_rx(b);
-                }
-                Box::new(uart)
-            }
-        };
-        bus.map(region.base, region.size, slave)?;
-    }
-    Ok(bus)
-}
-
-fn realize_iss(spec: &SystemSpec, pin_level: bool) -> Result<LevelRun, ConformError> {
-    let mut bus = build_bus(spec)?;
-    if pin_level {
-        let regions: Vec<(u32, u32)> = spec.regions.iter().map(|r| (r.base, r.size)).collect();
-        bus.set_phy(Box::new(PinPhy::new(&regions)?));
-    }
-    let program = assemble(&conformance_program(spec))?;
-    let mut cpu = Cpu::new(4096);
-    cpu.attach_bus(bus);
-    cpu.load_program(&program);
-    let stats = cpu.run(RUN_BUDGET)?;
-    let digest = state_digest(&cpu);
-    let bus = cpu.bus().expect("bus attached");
-
-    let mut per_channel_bytes = Vec::with_capacity(spec.channels.len());
-    let mut tail = 0u64;
-    for ch in &spec.channels {
-        let base = spec.regions[ch.region].base;
-        let fifo = bus
-            .device_at::<DrainFifo>(base)
-            .expect("channel fifo mapped");
-        per_channel_bytes.push((fifo.drained() + fifo.occupancy() as u64) * 4);
-        tail = tail.max(fifo.cycles_to_drain());
-    }
-
-    // Channel completion order: rank channels by the global write-
-    // sequence stamp of their FIFO's last write.
-    let accesses = bus.device_accesses();
-    let mut stamped: Vec<(u64, usize)> = spec
-        .channels
-        .iter()
-        .enumerate()
-        .map(|(ci, ch)| {
-            let base = spec.regions[ch.region].base;
-            let seq = accesses
-                .iter()
-                .find(|a| a.base == base)
-                .map_or(0, |a| a.last_write_seq);
-            (seq, ci)
-        })
-        .collect();
-    stamped.sort_unstable();
-    let write_order: Vec<usize> = stamped.into_iter().map(|(_, ci)| ci).collect();
-
-    let bus_stats = bus.stats();
-    let kernel_events = if pin_level {
-        stats.instructions + bus.phy_events()
-    } else {
-        stats.instructions + bus_stats.reads + bus_stats.writes
-    };
-    Ok(LevelRun {
-        level: if pin_level {
-            AbstractionLevel::Pin
-        } else {
-            AbstractionLevel::Register
-        },
-        cycles: stats.cycles + tail,
-        per_channel_bytes,
-        irqs: Some(stats.irqs_taken),
-        digest: Some(digest),
-        write_order: Some(write_order),
-        messages: None,
-        kernel_events,
-    })
-}
-
-fn realize_driver(spec: &SystemSpec) -> LevelRun {
-    let costs = DriverCosts::default();
-    let mut time = 0u64;
-    let mut events = 0u64;
-    let irqs = spec.irq_count();
-    time += irqs * DRIVER_IRQ_COST;
-    events += irqs;
-    for _ in 0..spec.iterations {
-        for ch in &spec.channels {
-            time += ch.compute + costs.call_overhead + ch.words * costs.per_word;
-            events += 2;
-        }
-    }
-    // The driver level ignores back-pressure; it only charges the tail
-    // drain of the slowest channel's final message.
-    let tail = spec
-        .channels
-        .iter()
-        .map(|ch| {
-            let DeviceKind::Fifo { drain_period, .. } = spec.regions[ch.region].kind else {
-                return 0;
-            };
-            ch.words * drain_period
-        })
-        .max()
-        .unwrap_or(0);
-    time += tail;
-    LevelRun {
-        level: AbstractionLevel::Driver,
-        cycles: time,
-        per_channel_bytes: (0..spec.channels.len())
-            .map(|c| spec.channel_bytes(c))
-            .collect(),
-        irqs: None,
-        digest: None,
-        write_order: None,
-        messages: None,
-        kernel_events: events,
-    }
-}
-
 /// The spec as a message-level process network: one software producer
 /// interleaving every channel's traffic (matching the ISS program
 /// order), one hardware consumer per channel draining at the FIFO rate.
@@ -337,34 +146,22 @@ pub fn message_network(spec: &SystemSpec) -> (ProcessNetwork, Placement, Message
     (net, Placement::from_assignment(placement), config)
 }
 
-fn realize_message(spec: &SystemSpec) -> Result<LevelRun, ConformError> {
-    let (net, placement, config) = message_network(spec);
-    let report = simulate(&net, &placement, &config)?;
-    Ok(LevelRun {
-        level: AbstractionLevel::Message,
-        cycles: report.finish_time,
-        per_channel_bytes: report.per_channel_bytes.clone(),
-        irqs: None,
-        digest: None,
-        write_order: None,
-        messages: Some(report.messages),
-        kernel_events: report.events,
-    })
-}
-
-/// Realizes `spec` at all four levels.
+/// Realizes `spec` at all four levels with [`conformance_program`] and
+/// [`message_network`].
 ///
 /// # Errors
 ///
-/// Propagates assembler, bus, ISS, and message-kernel failures; a
+/// Propagates spec, assembler, bus, ISS, and message-kernel failures; a
 /// failure *is* a conformance finding (the generator only emits specs
 /// that pass [`SystemSpec::validate`]).
 pub fn run_system(spec: &SystemSpec) -> Result<SystemRun, ConformError> {
+    let program = conformance_program(spec);
+    let off = Tracer::off();
     Ok(SystemRun {
-        pin: realize_iss(spec, true)?,
-        register: realize_iss(spec, false)?,
+        pin: realize_iss(spec, &program, true, &off)?,
+        register: realize_iss(spec, &program, false, &off)?,
         driver: realize_driver(spec),
-        message: realize_message(spec)?,
+        message: realize_message(&message_network(spec), &off)?,
     })
 }
 
@@ -372,6 +169,7 @@ pub fn run_system(spec: &SystemSpec) -> Result<SystemRun, ConformError> {
 mod tests {
     use super::*;
     use codesign_ir::workload::sysgen::{random_system, SysConfig};
+    use codesign_isa::asm::assemble;
 
     #[test]
     fn default_system_runs_at_all_levels() {

@@ -35,7 +35,9 @@ use codesign_ir::workload::tgff::{random_process_network, NetworkConfig};
 use codesign_sim::engine::SimEngine;
 use codesign_sim::ladder::AbstractionLevel;
 use codesign_sim::message::{simulate, MessageConfig, MessageEngine, Placement, Resource};
+pub use codesign_sim::trace::hash::splitmix64;
 use codesign_sim::trace::json::escape;
+use codesign_sim::trace::Tracer;
 
 use crate::lockstep::{self, LockstepConfig, LockstepOutcome};
 use crate::observables::{check, level_errors, Divergence};
@@ -107,15 +109,6 @@ pub struct SweepReport {
     pub lockstep_runs: u64,
     /// Instructions retired under lockstep comparison.
     pub lockstep_instructions: u64,
-}
-
-/// The finalizer of splitmix64 — a cheap, high-quality seed spreader.
-#[must_use]
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The generator configuration for one sweep index — reproducible from
@@ -245,7 +238,7 @@ fn engine_parity(seed: u64, out: &mut Vec<Divergence>) {
             .collect(),
     );
     let config = MessageConfig::default();
-    let oneshot = match simulate(&net, &placement, &config) {
+    let oneshot = match simulate(&net, &placement, &config, &Tracer::off()) {
         Ok(r) => r,
         Err(e) => {
             out.push(Divergence {

@@ -35,7 +35,7 @@ use codesign::resilience::{
 };
 use codesign::serve::{serve_lines, serve_tcp, RetryConfig, Server, ServerConfig};
 use codesign::servejobs::{cosim_report_json, run_cosim, CodesignRunner, CosimParams};
-use codesign::sim::ladder::{run_ladder_traced, timing_errors, LadderConfig};
+use codesign::sim::ladder::{run_ladder, timing_errors, LadderConfig};
 use codesign::synth::multiproc::{
     bin_packing, branch_and_bound, sensitivity_driven, MultiprocConfig,
 };
@@ -655,13 +655,9 @@ fn cmd_faults_bisect(args: &[String]) -> Result<(), Box<dyn std::error::Error>> 
 /// `codesign debug --gdb`: serve one GDB Remote Serial Protocol session
 /// over the ladder co-simulation.
 fn cmd_debug(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    use codesign::isa::asm::assemble;
-    use codesign::isa::cpu::Cpu;
-    use codesign::rtl::bus::{BusTiming, DrainFifo, SystemBus};
     use codesign::sim::adapters::CpuEngine;
     use codesign::sim::engine::Coordinator;
-    use codesign::sim::ladder::producer_program;
-    use codesign::sim::pinproto::PinPhy;
+    use codesign::sim::ladder::{build_cpu, producer_program};
 
     let addr = flag_value(args, "--gdb")
         .ok_or("missing --gdb HOST:PORT (e.g. `codesign debug --gdb 127.0.0.1:3333`)")?;
@@ -674,19 +670,7 @@ fn cmd_debug(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         ..LadderConfig::default()
     };
 
-    let mut bus = SystemBus::new(BusTiming::default());
-    bus.map(
-        0x0,
-        0x100,
-        Box::new(DrainFifo::new(cfg.fifo_capacity, cfg.drain_period)),
-    )?;
-    if pin {
-        bus.set_phy(Box::new(PinPhy::new(&[(0x0, 0x100)])?));
-    }
-    let program = assemble(&producer_program(&cfg))?;
-    let mut cpu = Cpu::new(4096);
-    cpu.attach_bus(bus);
-    cpu.load_program(&program);
+    let cpu = build_cpu(&cfg.spec()?, &producer_program(&cfg), pin)?;
     let mut coord = Coordinator::lockstep(quantum);
     coord.add_engine(Box::new(CpuEngine::new("cpu", cpu)));
 
@@ -859,7 +843,7 @@ fn cmd_ladder(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         ..LadderConfig::default()
     };
     let (tracer, trace_path) = trace_flag(args);
-    let reports = run_ladder_traced(&cfg, &tracer)?;
+    let reports = run_ladder(&cfg, &tracer)?;
     let errors = timing_errors(&reports);
     println!(
         "{:>9} | {:>12} | {:>14} | {:>10} | {:>8}",

@@ -49,9 +49,9 @@ use codesign_serve::{JobError, JobRunner, Request, RunOutcome};
 use codesign_sim::engine::{Coordinator, CoordinatorStats, SimEngine, WatchdogConfig};
 use codesign_sim::error::SimError;
 use codesign_sim::message::{
-    simulate_traced, MessageConfig, MessageEngine, MessageReport, Placement, Resource,
+    simulate, MessageConfig, MessageEngine, MessageReport, Placement, Resource,
 };
-use codesign_synth::mthread::{comm_aware_traced, MthreadConfig};
+use codesign_synth::mthread::{comm_aware, MthreadConfig};
 use codesign_trace::json::escape;
 use codesign_trace::Tracer;
 
@@ -159,7 +159,7 @@ fn cosim_placement(
             max_hw_processes: budget,
             sim: MessageConfig::default(),
         };
-        let outcome = comm_aware_traced(net, &cfg, tracer)
+        let outcome = comm_aware(net, &cfg, tracer)
             .map_err(|e| JobError::permanent("synth_error", e.to_string()))?;
         hw_names = outcome
             .hw_processes
@@ -198,8 +198,8 @@ fn cosim_placement(
                 .collect(),
         );
         hw_names = params.hw.clone();
-        report = simulate_traced(net, &placement, &MessageConfig::default(), tracer)
-            .map_err(sim_job_error)?;
+        report =
+            simulate(net, &placement, &MessageConfig::default(), tracer).map_err(sim_job_error)?;
     }
     Ok((hw_names, report, placement))
 }

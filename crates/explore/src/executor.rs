@@ -116,6 +116,12 @@ const SENSITIVITY_TOP_K: usize = 8;
 /// mutating the incumbent front.
 const RESTART_PCT: f64 = 0.25;
 
+/// Synchronization quanta candidates choose from.
+const QUANTA: [u64; 5] = [4, 8, 16, 32, 64];
+
+/// Interface abstraction levels candidates choose from.
+const LEVELS: [AbstractionLevel; 4] = AbstractionLevel::ALL;
+
 /// Executor parameters. `threads` is the only knob that may legally
 /// vary between two runs expected to produce identical output.
 #[derive(Debug, Clone)]
@@ -136,10 +142,6 @@ pub struct ExploreConfig {
     /// definition (it changes which snapshot each round sees), but —
     /// like every knob except `threads` — never thread-dependent.
     pub pipeline_depth: usize,
-    /// Synchronization quanta candidates may choose from.
-    pub quanta: Vec<u64>,
-    /// Interface abstraction levels candidates may choose from.
-    pub levels: Vec<AbstractionLevel>,
     /// Consult the memo cache (off only for the equivalence proptest
     /// and for measuring the cache's worth).
     pub use_cache: bool,
@@ -160,8 +162,6 @@ impl Default for ExploreConfig {
             threads: 1,
             workers: 8,
             pipeline_depth: 1,
-            quanta: vec![4, 8, 16, 32, 64],
-            levels: AbstractionLevel::ALL.to_vec(),
             use_cache: true,
             eval_mode: EvalMode::Delta,
             dedup_retries: 16,
@@ -628,12 +628,11 @@ fn run_pipeline(
             }
             let stream = fnv1a_str(&format!("worker:{w}:round:{rounds}"));
             let mut rng = StdRng::seed_from_u64(cfg.seed ^ stream);
-            let mut point =
-                next_candidate(space, cfg, &snapshot, round_base, &mut stage1, &mut rng);
+            let mut point = next_candidate(space, &snapshot, round_base, &mut stage1, &mut rng);
             let mut key = space.key(&point);
             let mut retries = 0u32;
             while retries < cfg.dedup_retries && seen.contains(&key) {
-                point = next_candidate(space, cfg, &snapshot, round_base, &mut stage1, &mut rng);
+                point = next_candidate(space, &snapshot, round_base, &mut stage1, &mut rng);
                 key = space.key(&point);
                 retries += 1;
                 dedup_skips += 1;
@@ -777,7 +776,6 @@ fn run_pipeline(
 /// highest-gradient refinement of the paper's §4.2 survey).
 fn next_candidate(
     space: &DesignSpace,
-    cfg: &ExploreConfig,
     snapshot: &[DesignPoint],
     round_base: usize,
     stage1: &mut Stage1,
@@ -795,8 +793,8 @@ fn next_candidate(
                     }
                 })
                 .collect(),
-            quantum: cfg.quanta[rng.gen_range(0..cfg.quanta.len())],
-            level: cfg.levels[rng.gen_range(0..cfg.levels.len())],
+            quantum: QUANTA[rng.gen_range(0..QUANTA.len())],
+            level: LEVELS[rng.gen_range(0..LEVELS.len())],
         };
     }
     let mut point = snapshot[round_base.min(snapshot.len() - 1)].clone();
@@ -806,16 +804,16 @@ fn next_candidate(
             flip_random(&mut point.assignment, rng);
             flip_random(&mut point.assignment, rng);
         }
-        2 => point.quantum = cfg.quanta[rng.gen_range(0..cfg.quanta.len())],
-        3 => point.level = cfg.levels[rng.gen_range(0..cfg.levels.len())],
+        2 => point.quantum = QUANTA[rng.gen_range(0..QUANTA.len())],
+        3 => point.level = LEVELS[rng.gen_range(0..LEVELS.len())],
         4 => {
             // One uniform draw from the full cross-product neighborhood:
             // simultaneously flip a task, re-draw the quantum, and
             // re-draw the level.
-            let size = space.cross_neighborhood_size(cfg.quanta.len(), cfg.levels.len());
+            let size = space.cross_neighborhood_size(QUANTA.len(), LEVELS.len());
             if size > 0 {
                 let index = rng.gen_range(0..size);
-                point = space.cross_neighbor(&point, index, &cfg.quanta, &cfg.levels);
+                point = space.cross_neighbor(&point, index, &QUANTA, &LEVELS);
             }
         }
         5 => {
@@ -851,7 +849,7 @@ fn next_candidate(
                 Some(t) => point.assignment[t] = point.assignment[t].flipped(),
                 None => flip_random(&mut point.assignment, rng),
             }
-            point.quantum = cfg.quanta[rng.gen_range(0..cfg.quanta.len())];
+            point.quantum = QUANTA[rng.gen_range(0..QUANTA.len())];
         }
     }
     point

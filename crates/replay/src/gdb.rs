@@ -323,6 +323,11 @@ impl DebugSession {
 /// Number of GDB-visible registers: 16 general + pc.
 pub const GDB_REGS: usize = NUM_REGS + 1;
 
+/// Largest packet payload the stub accepts, in bytes: advertised as
+/// `PacketSize` (hex) in the `qSupported` reply, and the most the packet
+/// reader ever holds.
+const PACKET_SIZE: usize = 0x4000;
+
 fn checksum(payload: &[u8]) -> u8 {
     payload.iter().fold(0u8, |a, &b| a.wrapping_add(b))
 }
@@ -333,22 +338,34 @@ fn write_packet(stream: &mut TcpStream, payload: &str) -> std::io::Result<()> {
     stream.flush()
 }
 
-/// Reads one `$...#xx` packet (acks and interrupts are skipped).
-/// Returns `None` on EOF.
-fn read_packet(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option<String>> {
+/// One framed packet from the client.
+#[derive(Debug)]
+enum Packet {
+    /// A checked payload within [`PACKET_SIZE`].
+    Command(String),
+    /// The two digits after `#` were not hex or not the payload's sum.
+    BadChecksum,
+    /// A checked payload longer than [`PACKET_SIZE`]; its bytes past the
+    /// cap were read and dropped.
+    TooLong,
+}
+
+/// Reads one `$...#xx` packet (acks and interrupts are skipped), holding
+/// at most [`PACKET_SIZE`] payload bytes. Returns `None` on EOF.
+fn read_packet(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option<Packet>> {
     let mut byte = [0u8; 1];
     loop {
         if reader.read(&mut byte)? == 0 {
             return Ok(None);
         }
-        match byte[0] {
-            b'$' => break,
-            // Acks, nacks, and ^C interrupts carry no payload we act on.
-            b'+' | b'-' | 0x03 => {}
-            _ => {}
+        // Acks, nacks, and ^C interrupts carry no payload we act on.
+        if byte[0] == b'$' {
+            break;
         }
     }
     let mut payload = Vec::new();
+    let mut sum = 0u8;
+    let mut too_long = false;
     loop {
         if reader.read(&mut byte)? == 0 {
             return Ok(None);
@@ -356,11 +373,25 @@ fn read_packet(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option<Stri
         if byte[0] == b'#' {
             break;
         }
-        payload.push(byte[0]);
+        sum = sum.wrapping_add(byte[0]);
+        if payload.len() < PACKET_SIZE {
+            payload.push(byte[0]);
+        } else {
+            too_long = true;
+        }
     }
     let mut ck = [0u8; 2];
     reader.read_exact(&mut ck)?;
-    Ok(Some(String::from_utf8_lossy(&payload).into_owned()))
+    let sent = std::str::from_utf8(&ck)
+        .ok()
+        .and_then(|digits| u8::from_str_radix(digits, 16).ok());
+    Ok(Some(if sent != Some(sum) {
+        Packet::BadChecksum
+    } else if too_long {
+        Packet::TooLong
+    } else {
+        Packet::Command(String::from_utf8_lossy(&payload).into_owned())
+    }))
 }
 
 fn stop_reply(reason: StopReason) -> String {
@@ -389,7 +420,7 @@ fn parse_hex_u64_le(s: &str) -> Option<u64> {
 
 fn handle(dbg: &mut DebugSession, cmd: &str) -> Result<Option<String>, SimError> {
     let reply = if cmd.starts_with("qSupported") {
-        "PacketSize=4000;ReverseStep+;ReverseContinue+;swbreak+".to_string()
+        format!("PacketSize={PACKET_SIZE:x};ReverseStep+;ReverseContinue+;swbreak+")
     } else if cmd == "?" {
         "S05".to_string()
     } else if cmd == "g" {
@@ -436,7 +467,7 @@ fn handle(dbg: &mut DebugSession, cmd: &str) -> Result<Option<String>, SimError>
             let (a, l) = spec.split_once(',')?;
             let addr = u64::from_str_radix(a, 16).ok()?;
             let len = usize::from_str_radix(l, 16).ok()?;
-            if data.len() != len * 2 {
+            if Some(data.len()) != len.checked_mul(2) {
                 return None;
             }
             let bytes: Option<Vec<u8>> = data
@@ -522,7 +553,9 @@ fn handle(dbg: &mut DebugSession, cmd: &str) -> Result<Option<String>, SimError>
 }
 
 /// Serves one GDB client connection on `listener`, then returns. Replies
-/// `E01`-style errors for malformed packets and closes on `D`/`k`.
+/// `E01`-style errors for malformed and over-long packets, asks for a
+/// retransmit (`-`) on a bad checksum without running the command, and
+/// closes on `D`/`k`.
 ///
 /// # Errors
 ///
@@ -532,7 +565,19 @@ pub fn serve(listener: &TcpListener, mut dbg: DebugSession) -> std::io::Result<(
     let (stream, _) = listener.accept()?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    while let Some(cmd) = read_packet(&mut reader)? {
+    while let Some(packet) = read_packet(&mut reader)? {
+        let cmd = match packet {
+            Packet::Command(cmd) => cmd,
+            Packet::BadChecksum => {
+                writer.write_all(b"-")?;
+                continue;
+            }
+            Packet::TooLong => {
+                writer.write_all(b"+")?;
+                write_packet(&mut writer, "E01")?;
+                continue;
+            }
+        };
         // Ack receipt, then reply.
         writer.write_all(b"+")?;
         match handle(&mut dbg, &cmd) {

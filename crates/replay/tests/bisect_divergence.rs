@@ -5,14 +5,12 @@
 mod common;
 
 use codesign_fault::{shared, BusRates, FaultPlan, FaultyEngine, FaultyPhy, SharedInjector};
-use codesign_isa::asm::assemble;
-use codesign_isa::cpu::Cpu;
 use codesign_replay::{bisect_divergence, linear_first_divergence};
-use codesign_rtl::bus::{BusTiming, DrainFifo, SystemBus};
+use codesign_rtl::bus::BusTiming;
 use codesign_sim::adapters::CpuEngine;
 use codesign_sim::engine::Coordinator;
 use codesign_sim::error::SimError;
-use codesign_sim::ladder::{producer_program, DriverCosts, DriverEngine};
+use codesign_sim::ladder::{build_cpu, producer_program, DriverEngine};
 use common::{ladder_cfg, QUANTUM};
 
 const CADENCE: u64 = 8;
@@ -22,7 +20,7 @@ const CADENCE: u64 = 8;
 /// twin never finishes and bisection bounds it by `max_rounds` instead.
 fn driver_run(stall_at: Option<u64>) -> Result<(Coordinator, Option<SharedInjector>), SimError> {
     let injector = shared(11);
-    let driver = DriverEngine::new("driver", ladder_cfg(), DriverCosts::default());
+    let driver = DriverEngine::new("driver", ladder_cfg());
     let mut eng = FaultyEngine::new(Box::new(driver), injector.clone(), 0.0, 0.0);
     if let Some(t) = stall_at {
         eng = eng.with_stall_at(t);
@@ -61,19 +59,14 @@ fn deterministic_stall_is_bisected_to_the_exact_round() {
 fn register_run(plan: FaultPlan) -> Result<(Coordinator, Option<SharedInjector>), SimError> {
     let cfg = ladder_cfg();
     let injector = shared(5);
-    let fifo = DrainFifo::new(cfg.fifo_capacity, cfg.drain_period);
-    let mut bus = SystemBus::new(BusTiming::default());
-    bus.map(0x0, 0x100, Box::new(fifo))
-        .map_err(SimError::Hardware)?;
-    bus.set_phy(Box::new(FaultyPhy::new(
-        BusTiming::default(),
-        plan,
-        injector.clone(),
-    )));
-    let program = assemble(&producer_program(&cfg)).unwrap();
-    let mut cpu = Cpu::new(4096);
-    cpu.attach_bus(bus);
-    cpu.load_program(&program);
+    let mut cpu = build_cpu(&cfg.spec()?, &producer_program(&cfg), false)?;
+    cpu.bus_mut()
+        .expect("bus attached")
+        .set_phy(Box::new(FaultyPhy::new(
+            BusTiming::default(),
+            plan,
+            injector.clone(),
+        )));
     let mut coord = Coordinator::lockstep(QUANTUM);
     coord.set_watchdog(None);
     coord.add_engine(Box::new(CpuEngine::new("cpu", cpu)));

@@ -6,16 +6,12 @@
 #![allow(dead_code)]
 
 use codesign_fault::SharedInjector;
-use codesign_isa::asm::assemble;
-use codesign_isa::cpu::Cpu;
-use codesign_rtl::bus::{BusTiming, DrainFifo, SystemBus};
 use codesign_sim::adapters::CpuEngine;
 use codesign_sim::engine::Coordinator;
 use codesign_sim::ladder::{
-    message_scenario, producer_program, DriverCosts, DriverEngine, LadderConfig,
+    build_cpu, message_scenario, producer_program, DriverEngine, LadderConfig,
 };
 use codesign_sim::message::MessageEngine;
-use codesign_sim::pinproto::PinPhy;
 
 pub const QUANTUM: u64 = 16;
 
@@ -28,20 +24,7 @@ pub fn ladder_cfg() -> LadderConfig {
 
 fn iss_level(pin: bool) -> (Coordinator, Option<SharedInjector>) {
     let cfg = ladder_cfg();
-    let mut bus = SystemBus::new(BusTiming::default());
-    bus.map(
-        0x0,
-        0x100,
-        Box::new(DrainFifo::new(cfg.fifo_capacity, cfg.drain_period)),
-    )
-    .unwrap();
-    if pin {
-        bus.set_phy(Box::new(PinPhy::new(&[(0x0, 0x100)]).unwrap()));
-    }
-    let program = assemble(&producer_program(&cfg)).unwrap();
-    let mut cpu = Cpu::new(4096);
-    cpu.attach_bus(bus);
-    cpu.load_program(&program);
+    let cpu = build_cpu(&cfg.spec().unwrap(), &producer_program(&cfg), pin).unwrap();
     let mut coord = Coordinator::lockstep(QUANTUM);
     coord.add_engine(Box::new(CpuEngine::new("cpu", cpu)));
     (coord, None)
@@ -55,11 +38,7 @@ pub fn build_level(idx: usize) -> (Coordinator, Option<SharedInjector>) {
         1 => iss_level(false),
         2 => {
             let mut coord = Coordinator::lockstep(QUANTUM);
-            coord.add_engine(Box::new(DriverEngine::new(
-                "driver",
-                ladder_cfg(),
-                DriverCosts::default(),
-            )));
+            coord.add_engine(Box::new(DriverEngine::new("driver", ladder_cfg())));
             (coord, None)
         }
         3 => {

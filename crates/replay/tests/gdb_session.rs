@@ -161,3 +161,34 @@ fn kill_packet_closes_the_session() {
     c.stream.read_to_end(&mut rest).unwrap();
     assert_eq!(rest, b"+");
 }
+
+#[test]
+fn hostile_packets_are_bounded_and_checked() {
+    let (addr, server) = spawn_server();
+    let mut c = Client {
+        stream: TcpStream::connect(addr).unwrap(),
+    };
+    let mut byte = [0u8; 1];
+
+    // A bad checksum is nacked and the write never runs.
+    let before = c.exchange("m100,8");
+    c.stream.write_all(b"$M100,8:1122334455667788#00").unwrap();
+    c.stream.read_exact(&mut byte).unwrap();
+    assert_eq!(byte[0], b'-');
+    c.stream.write_all(b"$?#zz").unwrap();
+    c.stream.read_exact(&mut byte).unwrap();
+    assert_eq!(byte[0], b'-', "non-hex checksum digits");
+    assert_eq!(c.exchange("m100,8"), before, "memory unchanged");
+
+    // A payload at the advertised 0x4000-byte cap is read as a command
+    // (an unknown one); a 1 MiB payload is skipped to its checksum and
+    // refused.
+    assert_eq!(c.exchange(&"a".repeat(0x4000)), "");
+    assert_eq!(c.exchange(&"a".repeat(1 << 20)), "E01");
+    assert_eq!(c.exchange("?"), "S05", "the session keeps working");
+
+    // A length whose hex-digit count overflows is refused, not a panic.
+    assert_eq!(c.exchange("M0,ffffffffffffffff:00"), "E01");
+    assert_eq!(c.exchange("D"), "OK");
+    server.join().unwrap().unwrap();
+}

@@ -291,6 +291,7 @@ pub fn reply_draining(id: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codesign_trace::hash::splitmix64;
     use codesign_trace::{validate_chrome_trace, Arg, Tracer};
 
     const FULL_REQUEST: &str = r#"{"id":"j1","kind":"cosim","priority":"high","deadline_ms":500,"chaos":"panic","spec":"sys demo\n","budget":3,"sharing":true}"#;
@@ -439,14 +440,13 @@ mod tests {
         }
         corpus.extend(MALFORMED.map(|(line, _)| line.to_string()));
 
-        // splitmix64: a fixed seed, so a failure reproduces.
+        // The splitmix64 stream from a fixed seed, so a failure
+        // reproduces: draw n is `splitmix64(seed + n * gamma)`.
         let mut state = 0x5EED_u64;
         let mut below = |bound: usize| -> usize {
+            let z = splitmix64(state);
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) % bound as u64) as usize
+            (z % bound as u64) as usize
         };
         for _ in 0..ITERATIONS {
             let mut doc = corpus[below(corpus.len())].as_bytes().to_vec();

@@ -8,7 +8,7 @@
 //! splitmix64 stream, never a wall clock — so a chaos campaign replays
 //! bit-identically and a property test can pin the bounds.
 
-use codesign_trace::hash::fnv1a;
+use codesign_trace::hash::{fnv1a, splitmix64};
 
 /// Retry policy for transient job failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,15 +32,6 @@ impl Default for RetryConfig {
             seed: 0x5EED,
         }
     }
-}
-
-/// The finalizer of splitmix64 — the workspace's standard seed spreader.
-#[must_use]
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// FNV-1a over a job id — the per-job key the jitter stream is split by.

@@ -3,6 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
+use codesign_ir::IrError;
 use codesign_isa::IsaError;
 use codesign_rtl::RtlError;
 
@@ -103,6 +104,8 @@ pub enum SimError {
     Software(IsaError),
     /// An error from the hardware side (RTL simulator).
     Hardware(RtlError),
+    /// A system specification failed validation before any level ran.
+    Spec(IrError),
     /// The coordinator's no-progress watchdog fired: no unfinished engine
     /// advanced its clock for too many consecutive rounds, or an engine's
     /// lookahead hint regressed behind its own clock.
@@ -126,6 +129,7 @@ impl fmt::Display for SimError {
             SimError::BadPlacement { reason } => write!(f, "bad placement: {reason}"),
             SimError::Software(e) => write!(f, "software: {e}"),
             SimError::Hardware(e) => write!(f, "hardware: {e}"),
+            SimError::Spec(e) => write!(f, "{e}"),
             SimError::Watchdog { snapshot } => {
                 write!(
                     f,
@@ -169,6 +173,7 @@ impl Error for SimError {
         match self {
             SimError::Software(e) => Some(e),
             SimError::Hardware(e) => Some(e),
+            SimError::Spec(e) => Some(e),
             _ => None,
         }
     }
@@ -185,6 +190,12 @@ impl From<IsaError> for SimError {
 impl From<RtlError> for SimError {
     fn from(e: RtlError) -> Self {
         SimError::Hardware(e)
+    }
+}
+
+impl From<IrError> for SimError {
+    fn from(e: IrError) -> Self {
+        SimError::Spec(e)
     }
 }
 

@@ -70,16 +70,12 @@ pub fn cpu_state_digest(cpu: &Cpu) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ladder::{DriverCosts, LadderConfig};
+    use crate::ladder::LadderConfig;
 
     #[test]
     fn fingerprint_covers_every_engine_kind() {
         let mut coord = Coordinator::lockstep(16);
-        coord.add_engine(Box::new(DriverEngine::new(
-            "drv",
-            LadderConfig::default(),
-            DriverCosts::default(),
-        )));
+        coord.add_engine(Box::new(DriverEngine::new("drv", LadderConfig::default())));
         let stats = coord.run(u64::MAX).unwrap();
         let fp = coordinator_fingerprint(&coord, stats.time);
         assert!(fp.starts_with(&format!("t={};", stats.time)), "{fp}");

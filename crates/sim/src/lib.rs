@@ -26,8 +26,9 @@
 //!   expanded into a req/ack pin handshake driven through the
 //!   event-driven gate simulator of `codesign-rtl`, with device wait
 //!   states visible only at this level.
-//! * [`ladder`] — the E3 experiment harness: one producer/consumer
-//!   system simulated at all four levels, reporting simulated cycles,
+//! * [`ladder`] — one realization per level for any generated
+//!   `SystemSpec` (bus, ISS run, driver model, message-level run), and
+//!   the E3 experiment as a one-FIFO spec, reporting simulated cycles,
 //!   kernel events, and wall-clock time per level.
 
 #![warn(missing_docs)]

@@ -212,29 +212,12 @@ struct Proc {
     state: ProcState,
 }
 
-/// Simulates a process network under a placement.
-///
-/// # Errors
-///
-/// Returns [`SimError::Deadlock`] for circular channel waits,
-/// [`SimError::Budget`] when the budget expires, and
-/// [`SimError::BadPlacement`] if the placement does not cover the
-/// network.
-pub fn simulate(
-    net: &ProcessNetwork,
-    placement: &Placement,
-    config: &MessageConfig,
-) -> Result<MessageReport, SimError> {
-    simulate_traced(net, placement, config, &Tracer::off())
-}
-
-/// [`simulate`] with a [`Tracer`]: per-process compute/wait spans, per
-/// -channel transfer events (with endpoint and locality arguments),
-/// channel-occupancy counters, and a running `cross_boundary_bytes`
-/// counter, all timestamped in simulated cycles.
-///
-/// Tracing is observational only: with a disabled tracer this is exactly
-/// [`simulate`], and the returned report is bit-identical either way.
+/// Simulates a process network under a placement, reporting to
+/// `tracer`: per-process compute/wait spans, per-channel transfer events
+/// (with endpoint and locality arguments), channel-occupancy counters,
+/// and a running `cross_boundary_bytes` counter, all timestamped in
+/// simulated cycles. Tracing is observational only: the report is
+/// bit-identical with [`Tracer::off`].
 ///
 /// Internally this drives a [`MessageEngine`] to completion, so the
 /// one-shot and incremental simulators share one scheduling core and
@@ -246,8 +229,11 @@ pub fn simulate(
 ///
 /// # Errors
 ///
-/// As for [`simulate`].
-pub fn simulate_traced(
+/// Returns [`SimError::Deadlock`] for circular channel waits,
+/// [`SimError::Budget`] when the budget expires, and
+/// [`SimError::BadPlacement`] if the placement does not cover the
+/// network.
+pub fn simulate(
     net: &ProcessNetwork,
     placement: &Placement,
     config: &MessageConfig,
@@ -320,9 +306,9 @@ enum EngineStep {
 /// The message-level process-network simulator as an incremental
 /// [`SimEngine`]: time-steppable under a
 /// [`Coordinator`](crate::engine::Coordinator) and lookahead-capable.
-/// This is *the* message-level scheduler — [`simulate`] and
-/// [`simulate_traced`] are thin wrappers that drive it to completion, so
-/// there is exactly one scheduling semantics at this level.
+/// This is *the* message-level scheduler — [`simulate`] is a thin
+/// wrapper that drives it to completion, so there is exactly one
+/// scheduling semantics at this level.
 ///
 /// Scheduling is *time-driven*: of everything that could happen, the
 /// step with the earliest start time executes first (ties broken by
@@ -1205,7 +1191,13 @@ mod tests {
     #[test]
     fn rendezvous_pipeline_completes() {
         let net = prodcons(8, 64);
-        let r = simulate(&net, &Placement::all_hardware(2), &MessageConfig::default()).unwrap();
+        let r = simulate(
+            &net,
+            &Placement::all_hardware(2),
+            &MessageConfig::default(),
+            &Tracer::off(),
+        )
+        .unwrap();
         assert_eq!(r.messages, 8);
         assert_eq!(r.bytes, 8 * 64);
         assert!(r.finish_time > 0);
@@ -1218,8 +1210,8 @@ mod tests {
             hw_speedup: 1.0, // isolate the concurrency effect
             ..MessageConfig::default()
         };
-        let hw = simulate(&net, &Placement::all_hardware(2), &cfg).unwrap();
-        let sw = simulate(&net, &Placement::all_software(2), &cfg).unwrap();
+        let hw = simulate(&net, &Placement::all_hardware(2), &cfg, &Tracer::off()).unwrap();
+        let sw = simulate(&net, &Placement::all_software(2), &cfg, &Tracer::off()).unwrap();
         assert!(
             sw.finish_time > hw.finish_time,
             "sw {} vs hw {}",
@@ -1240,9 +1232,10 @@ mod tests {
             &net,
             &Placement::from_assignment(vec![Resource::Software(0), Resource::Hardware(0)]),
             &cfg,
+            &Tracer::off(),
         )
         .unwrap();
-        let colocated = simulate(&net, &Placement::all_software(2), &cfg).unwrap();
+        let colocated = simulate(&net, &Placement::all_software(2), &cfg, &Tracer::off()).unwrap();
         assert_eq!(split.cross_boundary_bytes, 4 * 512);
         assert_eq!(colocated.cross_boundary_bytes, 0);
     }
@@ -1257,6 +1250,7 @@ mod tests {
                 hw_speedup: 1.0,
                 ..MessageConfig::default()
             },
+            &Tracer::off(),
         )
         .unwrap();
         let fast = simulate(
@@ -1266,6 +1260,7 @@ mod tests {
                 hw_speedup: 10.0,
                 ..MessageConfig::default()
             },
+            &Tracer::off(),
         )
         .unwrap();
         assert!(fast.finish_time < slow.finish_time);
@@ -1297,8 +1292,13 @@ mod tests {
                 },
             ],
         ));
-        let err =
-            simulate(&net, &Placement::all_hardware(2), &MessageConfig::default()).unwrap_err();
+        let err = simulate(
+            &net,
+            &Placement::all_hardware(2),
+            &MessageConfig::default(),
+            &Tracer::off(),
+        )
+        .unwrap_err();
         assert!(matches!(err, SimError::Deadlock { .. }));
     }
 
@@ -1323,7 +1323,13 @@ mod tests {
             )
             .with_iterations(4),
         );
-        let r = simulate(&net, &Placement::all_hardware(2), &MessageConfig::default()).unwrap();
+        let r = simulate(
+            &net,
+            &Placement::all_hardware(2),
+            &MessageConfig::default(),
+            &Tracer::off(),
+        )
+        .unwrap();
         // Sender finishes long before the receiver.
         assert!(r.per_process_finish[0] < r.per_process_finish[1] / 2);
     }
@@ -1331,8 +1337,13 @@ mod tests {
     #[test]
     fn placement_must_cover_network() {
         let net = prodcons(1, 1);
-        let err =
-            simulate(&net, &Placement::all_hardware(5), &MessageConfig::default()).unwrap_err();
+        let err = simulate(
+            &net,
+            &Placement::all_hardware(5),
+            &MessageConfig::default(),
+            &Tracer::off(),
+        )
+        .unwrap_err();
         assert!(matches!(err, SimError::BadPlacement { .. }));
     }
 
@@ -1347,6 +1358,7 @@ mod tests {
                 &net,
                 &Placement::all_hardware(net.len()),
                 &MessageConfig::default(),
+                &Tracer::off(),
             )
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert!(r.finish_time > 0);
@@ -1454,11 +1466,12 @@ mod tests {
             context_switch: 0,
             ..MessageConfig::default()
         };
-        let colocated = simulate(&net, &Placement::all_software(2), &cfg).unwrap();
+        let colocated = simulate(&net, &Placement::all_software(2), &cfg, &Tracer::off()).unwrap();
         let split = simulate(
             &net,
             &Placement::from_assignment(vec![Resource::Software(0), Resource::Hardware(0)]),
             &cfg,
+            &Tracer::off(),
         )
         .unwrap();
         // The sender pays exactly the (discounted or full) transfer cost
@@ -1504,11 +1517,12 @@ mod tests {
             context_switch: 0,
             ..MessageConfig::default()
         };
-        let colocated = simulate(&net, &Placement::all_software(2), &cfg).unwrap();
+        let colocated = simulate(&net, &Placement::all_software(2), &cfg, &Tracer::off()).unwrap();
         let split = simulate(
             &net,
             &Placement::from_assignment(vec![Resource::Software(0), Resource::Hardware(0)]),
             &cfg,
+            &Tracer::off(),
         )
         .unwrap();
         assert_eq!(colocated.cross_boundary_bytes, 0);
@@ -1542,6 +1556,7 @@ mod tests {
             &net,
             &Placement::from_assignment(vec![Resource::Software(0), Resource::Software(1)]),
             &cfg,
+            &Tracer::off(),
         )
         .unwrap_err();
         assert!(matches!(err, SimError::Budget { limit: 120 }));
@@ -1555,9 +1570,9 @@ mod tests {
         let placement =
             Placement::from_assignment(vec![Resource::Software(0), Resource::Hardware(0)]);
         let cfg = MessageConfig::default();
-        let plain = simulate(&net, &placement, &cfg).unwrap();
+        let plain = simulate(&net, &placement, &cfg, &Tracer::off()).unwrap();
         let tracer = Tracer::on();
-        let traced = simulate_traced(&net, &placement, &cfg, &tracer).unwrap();
+        let traced = simulate(&net, &placement, &cfg, &tracer).unwrap();
         assert_eq!(plain, traced);
         assert!(tracer.event_count() > 0);
         let json = tracer.to_chrome_json();
@@ -1574,6 +1589,7 @@ mod tests {
                 context_switch: 0,
                 ..MessageConfig::default()
             },
+            &Tracer::off(),
         )
         .unwrap();
         let pricey = simulate(
@@ -1583,6 +1599,7 @@ mod tests {
                 context_switch: 500,
                 ..MessageConfig::default()
             },
+            &Tracer::off(),
         )
         .unwrap();
         assert!(pricey.finish_time > cheap.finish_time);
@@ -1859,7 +1876,7 @@ mod tests {
             Resource::Hardware(0),
             Resource::Hardware(1),
         ]);
-        let report = simulate(&net, &placement, &MessageConfig::default()).unwrap();
+        let report = simulate(&net, &placement, &MessageConfig::default(), &Tracer::off()).unwrap();
         assert_eq!(report.per_channel_bytes, vec![36, 36]);
         assert_eq!(report.per_channel_bytes.iter().sum::<u64>(), report.bytes);
         assert!(
@@ -1910,7 +1927,8 @@ mod tests {
                 })
                 .collect(),
         );
-        let one_shot = simulate(&net, &placement, &MessageConfig::default()).unwrap();
+        let one_shot =
+            simulate(&net, &placement, &MessageConfig::default(), &Tracer::off()).unwrap();
         let mut eng =
             MessageEngine::new(net.name(), net.clone(), placement, MessageConfig::default())
                 .unwrap();

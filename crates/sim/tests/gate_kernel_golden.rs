@@ -18,13 +18,13 @@ use codesign_rtl::netlist::{GateKind, NetId, Netlist};
 use codesign_rtl::sim::Simulator;
 use codesign_rtl::state::{fnv1a_bytes, StateReader, StateWriter};
 use codesign_sim::pinproto::PinPhy;
+use codesign_sim::trace::hash::splitmix64;
 
+/// The splitmix64 stream: draw n is `splitmix64(seed + n * gamma)`.
 fn next(state: &mut u64) -> u64 {
+    let z = splitmix64(*state);
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    z
 }
 
 fn below(state: &mut u64, n: u64) -> u64 {

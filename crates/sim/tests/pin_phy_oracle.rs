@@ -14,6 +14,7 @@ use codesign_rtl::bus::{fifo_regs, BusPhy, BusTiming, DrainFifo, SystemBus};
 use codesign_rtl::state::{StateReader, StateWriter};
 use codesign_rtl::RtlError;
 use codesign_sim::pinproto::{PinPhy, MEMO_CAPACITY};
+use codesign_sim::trace::hash::splitmix64;
 
 /// The full-netlist pin phy, as it was before the decode memo.
 mod reference {
@@ -166,12 +167,11 @@ mod reference {
     }
 }
 
+/// The splitmix64 stream: draw n is `splitmix64(seed + n * gamma)`.
 fn next(state: &mut u64) -> u64 {
+    let z = splitmix64(*state);
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    z
 }
 
 /// One bus transaction: address, write, value, wait states.

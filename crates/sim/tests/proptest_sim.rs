@@ -4,6 +4,7 @@ use codesign_ir::process::{Action, ChannelId, Process, ProcessId, ProcessNetwork
 use codesign_ir::workload::tgff::{random_process_network, NetworkConfig};
 use codesign_sim::engine::{Coordinator, SimEngine};
 use codesign_sim::message::{simulate, MessageConfig, MessageEngine, Placement, Resource};
+use codesign_sim::trace::Tracer;
 use codesign_sim::SimError;
 use proptest::prelude::*;
 
@@ -193,7 +194,7 @@ proptest! {
                     .collect(),
             )
         };
-        let report = simulate(&net, &placement, &MessageConfig::default()).expect("completes");
+        let report = simulate(&net, &placement, &MessageConfig::default(), &Tracer::off()).expect("completes");
         prop_assert!(report.finish_time > 0);
     }
 
@@ -205,6 +206,7 @@ proptest! {
             &net,
             &Placement::all_hardware(net.len()),
             &MessageConfig::default(),
+&Tracer::off(),
         )
         .expect("completes");
         let total_msgs: u64 = net
@@ -230,8 +232,8 @@ proptest! {
         let placement = Placement::from_assignment(
             net.ids().map(|id| p.resource(ProcessId::from_index(id.index() % p.len()))).collect(),
         );
-        let a = simulate(&net, &placement, &MessageConfig::default()).expect("completes");
-        let b = simulate(&net, &placement, &MessageConfig::default()).expect("completes");
+        let a = simulate(&net, &placement, &MessageConfig::default(), &Tracer::off()).expect("completes");
+        let b = simulate(&net, &placement, &MessageConfig::default(), &Tracer::off()).expect("completes");
         prop_assert_eq!(a, b);
     }
 
@@ -244,7 +246,7 @@ proptest! {
             ..MessageConfig::default()
         };
         let placement = Placement::all_hardware(net.len());
-        let report = simulate(&net, &placement, &config).expect("completes");
+        let report = simulate(&net, &placement, &config, &Tracer::off()).expect("completes");
         for (id, p) in net.iter() {
             let busy = (p.total_compute() as f64 / config.hw_speedup).floor() as u64;
             prop_assert!(
@@ -273,7 +275,7 @@ proptest! {
         );
         let net = with_channel_capacity(&net, cap);
         let expected = expected_cross_bytes(&net, &placement);
-        let report = simulate(&net, &placement, &MessageConfig::default()).expect("completes");
+        let report = simulate(&net, &placement, &MessageConfig::default(), &Tracer::off()).expect("completes");
         prop_assert_eq!(
             report.cross_boundary_bytes,
             expected,
@@ -316,12 +318,14 @@ proptest! {
             &net,
             &placement,
             &MessageConfig { hw_speedup: 1.0, ..MessageConfig::default() },
+&Tracer::off(),
         )
         .expect("completes");
         let fast = simulate(
             &net,
             &placement,
             &MessageConfig { hw_speedup: 16.0, ..MessageConfig::default() },
+&Tracer::off(),
         )
         .expect("completes");
         prop_assert!(fast.finish_time <= slow.finish_time);

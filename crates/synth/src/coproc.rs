@@ -276,27 +276,17 @@ pub struct MixedRunReport {
 /// ISS for verification and cycle measurement; totals scale by
 /// invocation counts.
 ///
+/// Each task becomes a span on `tracer`'s `coproc` track — laid out end
+/// to end in cumulative application cycles, with its side, bus cycles,
+/// and invocation count as arguments — and hardware tasks additionally
+/// trace their stub's real MMIO transactions on a per-task bus track.
+/// Tracing is observational only.
+///
 /// # Errors
 ///
 /// Propagates assembly/execution errors, and returns
 /// [`SynthError::BadSpec`] if any output disagrees with the interpreter.
 pub fn realize(
-    app: &CharacterizedApp,
-    partition: &Partition,
-) -> Result<MixedRunReport, SynthError> {
-    realize_traced(app, partition, &Tracer::off())
-}
-
-/// [`realize`] with a [`Tracer`]: each task becomes a span on the
-/// `coproc` track — laid out end to end in cumulative application cycles,
-/// with its side, bus cycles, and invocation count as arguments — and
-/// hardware tasks additionally trace their stub's real MMIO transactions
-/// on a per-task bus track. Tracing is observational only.
-///
-/// # Errors
-///
-/// As for [`realize`].
-pub fn realize_traced(
     app: &CharacterizedApp,
     partition: &Partition,
     tracer: &Tracer,
@@ -456,7 +446,7 @@ mod tests {
     #[test]
     fn all_sw_realization_matches_characterized_costs() {
         let app = characterize(&small_app()).unwrap();
-        let report = realize(&app, &Partition::all_sw(5)).unwrap();
+        let report = realize(&app, &Partition::all_sw(5), &Tracer::off()).unwrap();
         assert!(report.verified);
         assert_eq!(report.total_cycles, app.graph().total_sw_cycles());
         assert_eq!(report.bus_cycles, 0);
@@ -465,8 +455,8 @@ mod tests {
     #[test]
     fn all_hw_realization_is_faster_and_verified() {
         let app = characterize(&small_app()).unwrap();
-        let sw = realize(&app, &Partition::all_sw(5)).unwrap();
-        let hw = realize(&app, &Partition::all_hw(5)).unwrap();
+        let sw = realize(&app, &Partition::all_sw(5), &Tracer::off()).unwrap();
+        let hw = realize(&app, &Partition::all_hw(5), &Tracer::off()).unwrap();
         assert!(hw.verified, "hardware outputs must match the interpreter");
         assert!(
             hw.total_cycles < sw.total_cycles,
@@ -492,7 +482,7 @@ mod tests {
         .unwrap();
         assert!(eval.meets_deadline);
         assert!(partition.hw_count() < 5, "some tasks moved back to sw");
-        let report = realize(&app, &partition).unwrap();
+        let report = realize(&app, &partition, &Tracer::off()).unwrap();
         assert!(report.verified);
     }
 
@@ -519,9 +509,9 @@ mod tests {
         let app = characterize(&small_app()).unwrap();
         let mut partition = Partition::all_sw(5);
         partition.flip(TaskId::from_index(3)); // one hw task
-        let plain = realize(&app, &partition).unwrap();
+        let plain = realize(&app, &partition, &Tracer::off()).unwrap();
         let tracer = Tracer::on();
-        let traced = realize_traced(&app, &partition, &tracer).unwrap();
+        let traced = realize(&app, &partition, &tracer).unwrap();
         assert_eq!(plain, traced);
         // One span per task plus the hw task's bus transactions.
         assert!(tracer.event_count() > 5);
@@ -532,7 +522,7 @@ mod tests {
     fn bad_partition_size_rejected() {
         let app = characterize(&small_app()).unwrap();
         assert!(matches!(
-            realize(&app, &Partition::all_sw(2)),
+            realize(&app, &Partition::all_sw(2), &Tracer::off()),
             Err(SynthError::BadSpec { .. })
         ));
     }

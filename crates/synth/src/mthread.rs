@@ -22,9 +22,7 @@ use codesign_hls::{synthesize, Constraints};
 use codesign_ir::process::{ProcessId, ProcessNetwork};
 use codesign_ir::workload::kernels;
 use codesign_isa::codegen::compile;
-use codesign_sim::message::{
-    simulate, simulate_traced, MessageConfig, MessageReport, Placement, Resource,
-};
+use codesign_sim::message::{simulate, MessageConfig, MessageReport, Placement, Resource};
 use codesign_trace::{Arg, Tracer};
 
 use crate::error::SynthError;
@@ -93,23 +91,18 @@ pub fn placement_for(net: &ProcessNetwork, hw: &[usize]) -> Placement {
 ///
 /// # Errors
 ///
-/// Propagates co-simulation failures.
-pub fn comm_aware(net: &ProcessNetwork, cfg: &MthreadConfig) -> Result<MthreadOutcome, SynthError> {
-    comm_aware_traced(net, cfg, &Tracer::off())
-}
-
-/// [`comm_aware`] with a [`Tracer`]: every candidate placement the greedy
-/// search evaluates becomes an instant event on the `mthread-search`
-/// track (timestamped by evaluation index, with the tried move and its
-/// simulated finish time as arguments), each accepted move an instant
-/// named `accept`, and the winning placement is re-simulated with the
-/// tracer so its full message-level trace is captured. Tracing is
-/// observational only; the search result is identical either way.
+/// Every candidate placement the search evaluates becomes an instant
+/// event on `tracer`'s `mthread-search` track (timestamped by evaluation
+/// index, with the tried move and its simulated finish time as
+/// arguments), each accepted move an instant named `accept`, and the
+/// winning placement is re-simulated with the tracer so its full
+/// message-level trace is captured. Tracing is observational only; the
+/// search result is identical either way.
 ///
 /// # Errors
 ///
-/// As for [`comm_aware`].
-pub fn comm_aware_traced(
+/// Propagates co-simulation failures.
+pub fn comm_aware(
     net: &ProcessNetwork,
     cfg: &MthreadConfig,
     tracer: &Tracer,
@@ -119,7 +112,7 @@ pub fn comm_aware_traced(
     let track = tracer.track("mthread-search");
     let evals = std::cell::Cell::new(0u64);
     let mut hw: Vec<usize> = Vec::new();
-    let mut best = simulate(net, &placement_for(net, &hw), &cfg.sim)?;
+    let mut best = simulate(net, &placement_for(net, &hw), &cfg.sim, &Tracer::off())?;
     loop {
         let mut improvement: Option<(Vec<usize>, MessageReport)> = None;
         let consider = |added: Vec<usize>,
@@ -127,7 +120,12 @@ pub fn comm_aware_traced(
          -> Result<(), SynthError> {
             let mut candidate = hw.clone();
             candidate.extend(&added);
-            let report = simulate(net, &placement_for(net, &candidate), &cfg.sim)?;
+            let report = simulate(
+                net,
+                &placement_for(net, &candidate),
+                &cfg.sim,
+                &Tracer::off(),
+            )?;
             if tracer.is_on() {
                 tracer.instant(
                     track,
@@ -190,7 +188,7 @@ pub fn comm_aware_traced(
     let placement = placement_for(net, &hw);
     if tracer.is_on() {
         // Capture the winning placement's full message-level trace.
-        best = simulate_traced(net, &placement, &cfg.sim, tracer)?;
+        best = simulate(net, &placement, &cfg.sim, tracer)?;
     }
     Ok(MthreadOutcome {
         placement,
@@ -256,7 +254,7 @@ pub fn comm_aware_calibrated(
     let (speedups, areas) = calibrate(net, cfg.sim.hw_speedup)?;
     let mut calibrated = cfg.clone();
     calibrated.sim.hw_speedups = Some(speedups);
-    let outcome = comm_aware(net, &calibrated)?;
+    let outcome = comm_aware(net, &calibrated, &Tracer::off())?;
     let hw_area: f64 = outcome.hw_processes.iter().map(|&p| areas[p]).sum();
     Ok((outcome, hw_area))
 }
@@ -280,7 +278,7 @@ pub fn compute_only(
         .take(cfg.max_hw_processes.min(net.len()))
         .collect();
     let placement = placement_for(net, &hw);
-    let report = simulate(net, &placement, &cfg.sim)?;
+    let report = simulate(net, &placement, &cfg.sim, &Tracer::off())?;
     Ok(MthreadOutcome {
         placement,
         report,
@@ -309,7 +307,7 @@ pub fn exhaustive(net: &ProcessNetwork, cfg: &MthreadConfig) -> Result<MthreadOu
             continue;
         }
         let placement = placement_for(net, &hw);
-        let report = simulate(net, &placement, &cfg.sim)?;
+        let report = simulate(net, &placement, &cfg.sim, &Tracer::off())?;
         if best
             .as_ref()
             .is_none_or(|b| report.finish_time < b.report.finish_time)
@@ -392,8 +390,14 @@ mod tests {
     fn comm_aware_beats_all_software() {
         let net = pipeline();
         let cfg = MthreadConfig::default();
-        let all_sw = simulate(&net, &Placement::all_software(net.len()), &cfg.sim).unwrap();
-        let outcome = comm_aware(&net, &cfg).unwrap();
+        let all_sw = simulate(
+            &net,
+            &Placement::all_software(net.len()),
+            &cfg.sim,
+            &Tracer::off(),
+        )
+        .unwrap();
+        let outcome = comm_aware(&net, &cfg, &Tracer::off()).unwrap();
         assert!(
             outcome.report.finish_time < all_sw.finish_time,
             "{} vs {}",
@@ -412,7 +416,7 @@ mod tests {
                 ..NetworkConfig::default()
             });
             let cfg = MthreadConfig::default();
-            let aware = comm_aware(&net, &cfg).unwrap();
+            let aware = comm_aware(&net, &cfg, &Tracer::off()).unwrap();
             let naive = compute_only(&net, &cfg).unwrap();
             assert!(
                 aware.report.finish_time <= naive.report.finish_time,
@@ -430,7 +434,7 @@ mod tests {
             max_hw_processes: 2,
             ..MthreadConfig::default()
         };
-        let outcome = comm_aware(&net, &cfg).unwrap();
+        let outcome = comm_aware(&net, &cfg, &Tracer::off()).unwrap();
         // The two heavy, heavily-communicating stages are the right pair:
         // hardware gets both, so the 2 KiB channel stays local.
         assert!(
@@ -445,7 +449,7 @@ mod tests {
         let net = pipeline();
         let cfg = MthreadConfig::default();
         let optimum = exhaustive(&net, &cfg).unwrap();
-        let aware = comm_aware(&net, &cfg).unwrap();
+        let aware = comm_aware(&net, &cfg, &Tracer::off()).unwrap();
         let naive = compute_only(&net, &cfg).unwrap();
         assert!(optimum.report.finish_time <= aware.report.finish_time);
         assert!(optimum.report.finish_time <= naive.report.finish_time);
@@ -455,9 +459,9 @@ mod tests {
     fn traced_search_matches_untraced() {
         let net = pipeline();
         let cfg = MthreadConfig::default();
-        let plain = comm_aware(&net, &cfg).unwrap();
+        let plain = comm_aware(&net, &cfg, &Tracer::off()).unwrap();
         let tracer = Tracer::on();
-        let traced = comm_aware_traced(&net, &cfg, &tracer).unwrap();
+        let traced = comm_aware(&net, &cfg, &tracer).unwrap();
         assert_eq!(plain, traced);
         assert!(tracer.event_count() > 0);
         codesign_trace::validate_chrome_trace(&tracer.to_chrome_json()).unwrap();
@@ -470,7 +474,7 @@ mod tests {
             max_hw_processes: 0,
             ..MthreadConfig::default()
         };
-        let outcome = comm_aware(&net, &cfg).unwrap();
+        let outcome = comm_aware(&net, &cfg, &Tracer::off()).unwrap();
         assert!(outcome.hw_processes.is_empty());
     }
 
@@ -483,7 +487,7 @@ mod tests {
                 max_hw_processes: budget,
                 ..MthreadConfig::default()
             };
-            let outcome = comm_aware(&net, &cfg).unwrap();
+            let outcome = comm_aware(&net, &cfg, &Tracer::off()).unwrap();
             assert!(
                 outcome.report.finish_time <= prev,
                 "budget {budget}: {} > {prev}",
@@ -553,7 +557,7 @@ mod tests {
         );
         let cfg = MthreadConfig::default();
         let (outcome, hw_area) = comm_aware_calibrated(&net, &cfg).unwrap();
-        let all_sw = simulate(&net, &Placement::all_software(2), &cfg.sim).unwrap();
+        let all_sw = simulate(&net, &Placement::all_software(2), &cfg.sim, &Tracer::off()).unwrap();
         assert!(outcome.report.finish_time < all_sw.finish_time);
         assert!(
             outcome.hw_processes.contains(&0),

@@ -1,4 +1,5 @@
-//! FNV-1a 64-bit: the workspace's one content hash.
+//! FNV-1a 64-bit, the workspace's one content hash, and splitmix64,
+//! its one seed spreader.
 //!
 //! Explorer cache keys and generator substreams, replay page digests,
 //! the conformance CPU digest, fault-site substreams and serve's retry
@@ -68,6 +69,17 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
     h.write(bytes);
     h.finish()
+}
+
+/// The finalizer of splitmix64: a cheap, high-quality seed spreader.
+/// Sweep indices, benchmark draws and serve's retry jitter derive their
+/// seeds through it; like [`fnv1a`], its constants never change.
+#[must_use]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -14,9 +14,7 @@
 
 use codesign::partition::cost::Objective;
 use codesign::partition::{Partition, Side};
-use codesign::synth::coproc::{
-    characterize, partition_app, realize_traced, Algorithm, Application,
-};
+use codesign::synth::coproc::{characterize, partition_app, realize, Algorithm, Application};
 use codesign::trace::Tracer;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -82,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let (winner, partition, _) = best.expect("at least one algorithm ran");
     println!("\nrealizing the `{winner}` partition end-to-end on the ISS:");
-    let report = realize_traced(&app, &partition, &tracer)?;
+    let report = realize(&app, &partition, &tracer)?;
     for (name, side, cycles) in &report.per_task {
         let side = match side {
             Side::Sw => "SW",

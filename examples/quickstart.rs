@@ -13,6 +13,7 @@ use codesign::partition::cost::Objective;
 use codesign::partition::eval::EvalConfig;
 use codesign::sim::message::{self, MessageConfig, Placement, Resource};
 use codesign::synth::mthread::{comm_aware, MthreadConfig};
+use codesign::trace::Tracer;
 
 const SPEC: &str = "\
 system radio_link
@@ -78,12 +79,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         net,
         &Placement::all_software(net.len()),
         &MessageConfig::default(),
+        &Tracer::off(),
     )?;
     println!(
         "\nprocess network, all-software: finishes at {} cycles",
         all_sw.finish_time
     );
-    let outcome = comm_aware(net, &MthreadConfig::default())?;
+    let outcome = comm_aware(net, &MthreadConfig::default(), &Tracer::off())?;
     let hw_names: Vec<&str> = outcome
         .hw_processes
         .iter()

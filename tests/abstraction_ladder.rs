@@ -6,11 +6,12 @@
 //! simulation efficiency increases as you climb.
 
 use codesign::sim::ladder::{run_ladder, run_level, timing_errors, AbstractionLevel, LadderConfig};
+use codesign::trace::Tracer;
 
 #[test]
 fn the_four_levels_reproduce_figure_3() {
     let cfg = LadderConfig::default();
-    let reports = run_ladder(&cfg).expect("every level simulates");
+    let reports = run_ladder(&cfg, &Tracer::off()).expect("every level simulates");
     assert_eq!(reports.len(), 4);
 
     // Throughput: kernel events per level, bottom to top.
@@ -37,15 +38,21 @@ fn the_four_levels_reproduce_figure_3() {
 fn congestion_widens_the_accuracy_gap() {
     // A slow consumer causes back-pressure that only the lower levels
     // see; the driver-level error grows with congestion.
-    let relaxed = run_ladder(&LadderConfig {
-        drain_period: 2,
-        ..LadderConfig::default()
-    })
+    let relaxed = run_ladder(
+        &LadderConfig {
+            drain_period: 2,
+            ..LadderConfig::default()
+        },
+        &Tracer::off(),
+    )
     .unwrap();
-    let congested = run_ladder(&LadderConfig {
-        drain_period: 48,
-        ..LadderConfig::default()
-    })
+    let congested = run_ladder(
+        &LadderConfig {
+            drain_period: 48,
+            ..LadderConfig::default()
+        },
+        &Tracer::off(),
+    )
     .unwrap();
     let err_relaxed = timing_errors(&relaxed)[2].1;
     let err_congested = timing_errors(&congested)[2].1;

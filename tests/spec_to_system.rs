@@ -9,6 +9,7 @@ use codesign::partition::cost::Objective;
 use codesign::partition::eval::EvalConfig;
 use codesign::sim::message::{simulate, MessageConfig, Placement};
 use codesign::synth::mthread::{comm_aware, exhaustive, MthreadConfig};
+use codesign::trace::Tracer;
 
 const SPEC: &str = "\
 system camera_node
@@ -60,9 +61,10 @@ fn one_spec_drives_both_views() {
         net,
         &Placement::all_software(net.len()),
         &MessageConfig::default(),
+        &Tracer::off(),
     )
     .expect("baseline simulates");
-    let outcome = comm_aware(net, &MthreadConfig::default()).expect("flow runs");
+    let outcome = comm_aware(net, &MthreadConfig::default(), &Tracer::off()).expect("flow runs");
     assert!(outcome.report.finish_time < all_sw.finish_time);
     // The greedy result matches the exhaustive optimum on this small net.
     let optimum = exhaustive(net, &MthreadConfig::default()).unwrap();

@@ -9,6 +9,7 @@ use codesign::partition::Partition;
 use codesign::synth::coproc::{
     characterize, partition_app, realize, Algorithm, Application, CharacterizedApp,
 };
+use codesign::trace::Tracer;
 
 fn app() -> CharacterizedApp {
     let mut a = Application::dsp_suite();
@@ -37,8 +38,9 @@ fn partitioned_realization_is_faster_than_software_and_correct() {
     );
     assert!(partition.hw_count() > 0, "some hardware was worth it");
 
-    let mixed = realize(&app, &partition).expect("mixed system runs");
-    let all_sw = realize(&app, &Partition::all_sw(g.len())).expect("sw baseline runs");
+    let mixed = realize(&app, &partition, &Tracer::off()).expect("mixed system runs");
+    let all_sw =
+        realize(&app, &Partition::all_sw(g.len()), &Tracer::off()).expect("sw baseline runs");
     assert!(mixed.verified, "all outputs match the CDFG interpreter");
     assert!(
         mixed.total_cycles < all_sw.total_cycles,
@@ -87,7 +89,7 @@ fn hw_first_and_sw_first_converge_to_feasible_partitions() {
         let (p, e) =
             partition_app(&app, Objective::performance_driven(deadline), algo, false).unwrap();
         assert!(e.meets_deadline, "{algo:?}");
-        let report = realize(&app, &p).unwrap();
+        let report = realize(&app, &p, &Tracer::off()).unwrap();
         assert!(report.verified, "{algo:?}");
     }
 }
@@ -96,8 +98,8 @@ fn hw_first_and_sw_first_converge_to_feasible_partitions() {
 fn communication_overhead_is_measured_not_assumed() {
     let app = app();
     let g = app.graph();
-    let all_hw = realize(&app, &Partition::all_hw(g.len())).unwrap();
-    let all_sw = realize(&app, &Partition::all_sw(g.len())).unwrap();
+    let all_hw = realize(&app, &Partition::all_hw(g.len()), &Tracer::off()).unwrap();
+    let all_sw = realize(&app, &Partition::all_sw(g.len()), &Tracer::off()).unwrap();
     assert!(all_hw.bus_cycles > 0, "hw pays MMIO per operand and result");
     assert_eq!(all_sw.bus_cycles, 0, "sw never touches the bus");
 }
