@@ -13,7 +13,10 @@
 //!   the identical run executed straight, same round loop;
 //! - **bisection effort** — checkpoint probes `bisect_divergence`
 //!   spends locating the first divergent round of an armed run against
-//!   its golden twin, vs the rounds a linear scan would compare.
+//!   its golden twin. Its `linear_probes` column is not measured: it is
+//!   the round the bisection reports
+//!   ([`BisectReport::linear_probes`](codesign::replay::BisectReport::linear_probes)),
+//!   the comparisons a linear scan would make if it stopped there.
 //!
 //! ```text
 //! cargo run --release -p codesign-bench --bin bench-replay [--smoke] [out.json]

@@ -22,11 +22,13 @@ use std::fmt::Write as _;
 
 use codesign_ir::process::{Action, Process, ProcessNetwork};
 use codesign_ir::workload::sysgen::{DeviceKind, SystemSpec};
+use codesign_isa::asm::assemble;
 use codesign_isa::cpu::MMIO_BASE;
 use codesign_rtl::bus::{fifo_regs, uart_regs};
 use codesign_sim::ladder::{realize_driver, realize_iss, realize_message, SystemRun};
 use codesign_sim::message::{MessageConfig, Placement, Resource};
 use codesign_sim::trace::Tracer;
+use codesign_sim::SimError;
 
 use crate::ConformError;
 
@@ -146,8 +148,8 @@ pub fn message_network(spec: &SystemSpec) -> (ProcessNetwork, Placement, Message
     (net, Placement::from_assignment(placement), config)
 }
 
-/// Realizes `spec` at all four levels with [`conformance_program`] and
-/// [`message_network`].
+/// Realizes `spec` at all four levels with [`conformance_program`],
+/// assembled once for both ISS levels, and [`message_network`].
 ///
 /// # Errors
 ///
@@ -155,7 +157,8 @@ pub fn message_network(spec: &SystemSpec) -> (ProcessNetwork, Placement, Message
 /// failure *is* a conformance finding (the generator only emits specs
 /// that pass [`SystemSpec::validate`]).
 pub fn run_system(spec: &SystemSpec) -> Result<SystemRun, ConformError> {
-    let program = conformance_program(spec);
+    // Assembler errors read as the ISS levels' errors always have.
+    let program = assemble(&conformance_program(spec)).map_err(SimError::from)?;
     let off = Tracer::off();
     Ok(SystemRun {
         pin: realize_iss(spec, &program, true, &off)?,

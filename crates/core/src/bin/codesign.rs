@@ -655,6 +655,7 @@ fn cmd_faults_bisect(args: &[String]) -> Result<(), Box<dyn std::error::Error>> 
 /// `codesign debug --gdb`: serve one GDB Remote Serial Protocol session
 /// over the ladder co-simulation.
 fn cmd_debug(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    use codesign::isa::asm::assemble;
     use codesign::sim::adapters::CpuEngine;
     use codesign::sim::engine::Coordinator;
     use codesign::sim::ladder::{build_cpu, producer_program};
@@ -670,7 +671,7 @@ fn cmd_debug(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         ..LadderConfig::default()
     };
 
-    let cpu = build_cpu(&cfg.spec()?, &producer_program(&cfg), pin)?;
+    let cpu = build_cpu(&cfg.spec()?, &assemble(&producer_program(&cfg))?, pin)?;
     let mut coord = Coordinator::lockstep(quantum);
     coord.add_engine(Box::new(CpuEngine::new("cpu", cpu)));
 

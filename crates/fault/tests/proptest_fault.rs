@@ -8,8 +8,9 @@
 //! 3. the coordinator's no-progress watchdog never fires on healthy
 //!    random engine mixes, including mixes wrapped in quiet fault
 //!    wrappers;
-//! 4. a wrapped device caught up by one `advance(n)` logs the same
-//!    faults, with the same cycle stamps, as one ticked `n` times.
+//! 4. a wrapped device caught up by one `advance(n)`, or by two calls
+//!    that sum to `n`, logs the same faults, with the same cycle stamps,
+//!    as one ticked `n` times.
 
 use codesign_fault::{
     shared, FaultPlan, FaultyEngine, FaultyPhy, FaultySlave, IrqRates, MessageFaultHook,
@@ -177,12 +178,22 @@ fn run_bus(ops: &[(bool, u8)], wrapped: bool) -> String {
     fp
 }
 
+/// How [`run_armed`] catches a device up by `n` cycles.
+#[derive(Debug, Clone, Copy)]
+enum CatchUp {
+    /// `n` calls of `tick()`.
+    Ticks,
+    /// One `advance(n)`.
+    Once,
+    /// `advance(k); advance(n - k)`, with `k` drawn from the op.
+    Split,
+}
+
 /// Drives a timer and a FIFO, each behind a [`FaultySlave`] under an
 /// armed plan, through `ops` — register writes, reads, `n`-cycle
-/// catch-ups (one `advance(n)`, or `n` ticks with `per_cycle`), and irq
-/// samples — and fingerprints every value seen, the fault log and the
-/// end state.
-fn run_armed(ops: &[(u8, u32)], seed: u64, per_cycle: bool) -> String {
+/// catch-ups (made as `catch_up` says), and irq samples — and
+/// fingerprints every value seen, the fault log and the end state.
+fn run_armed(ops: &[(u8, u32)], seed: u64, catch_up: CatchUp) -> String {
     let plan = FaultPlan {
         register: RegisterRates {
             corrupt_read: 0.05,
@@ -212,12 +223,18 @@ fn run_armed(ops: &[(u8, u32)], seed: u64, per_cycle: bool) -> String {
             1 => fp.push_str(&format!("{};", dev.read(v % 3 * 4))),
             2 => {
                 let n = u64::from(v % 13);
-                if per_cycle {
-                    for _ in 0..n {
-                        dev.tick();
+                match catch_up {
+                    CatchUp::Ticks => {
+                        for _ in 0..n {
+                            dev.tick();
+                        }
                     }
-                } else {
-                    dev.advance(n);
+                    CatchUp::Once => dev.advance(n),
+                    CatchUp::Split => {
+                        let k = u64::from(v >> 4) % (n + 1);
+                        dev.advance(k);
+                        dev.advance(n - k);
+                    }
                 }
             }
             _ => fp.push_str(&format!("{};", dev.irq_pending())),
@@ -239,24 +256,28 @@ fn armed_script_logs_faults_at_device_cycles() {
     let ops: Vec<(u8, u32)> = (0..200u32)
         .map(|i| ((i.wrapping_mul(2_654_435_761) >> 7) as u8, i * 37 + 11))
         .collect();
-    let advanced = run_armed(&ops, 5, false);
+    let advanced = run_armed(&ops, 5, CatchUp::Once);
     for kind in ["CorruptRead", "CorruptWrite", "IrqSpurious"] {
         assert!(advanced.contains(kind), "no {kind} in {advanced}");
     }
-    assert_eq!(advanced, run_armed(&ops, 5, true));
+    assert_eq!(advanced, run_armed(&ops, 5, CatchUp::Ticks));
+    assert_eq!(advanced, run_armed(&ops, 5, CatchUp::Split));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Contract 4: catching up in one step is invisible to an armed
-    /// plan — same values, same faults at the same device cycles.
+    /// Contract 4: catching up in one step, or in two, is invisible to
+    /// an armed plan — same values, same faults at the same device
+    /// cycles.
     #[test]
     fn armed_slave_advance_matches_ticking(
         ops in prop::collection::vec((any::<u8>(), any::<u32>()), 1..80),
         seed in any::<u64>(),
     ) {
-        prop_assert_eq!(run_armed(&ops, seed, false), run_armed(&ops, seed, true));
+        let ticked = run_armed(&ops, seed, CatchUp::Ticks);
+        prop_assert_eq!(&run_armed(&ops, seed, CatchUp::Once), &ticked);
+        prop_assert_eq!(&run_armed(&ops, seed, CatchUp::Split), &ticked);
     }
 
     /// Contract 1a: an empty plan hooked into the message engine is

@@ -4,10 +4,11 @@
 //! (Figure 4): it executes an assembled [`Program`] against internal data
 //! memory, and routes accesses at or above [`MMIO_BASE`] to an attached
 //! `codesign-rtl` [`SystemBus`]. Each device access pays real bus cycles,
-//! and devices advance in lockstep with instruction execution, so
-//! interrupts arrive at cycle-accurate times — giving the co-simulation
-//! engines the register-read/write and interrupt abstraction levels of
-//! the paper's Figure 3 for free.
+//! and devices catch up with instruction execution before anything can
+//! observe them — a bus access, an interrupt sample, or a return to the
+//! caller — so interrupts arrive at cycle-accurate times, giving the
+//! co-simulation engines the register-read/write and interrupt
+//! abstraction levels of the paper's Figure 3 for free.
 //!
 //! Custom functional units ([`CustomUnit`]) can be attached to the eight
 //! `custom` opcode slots, which is how the ASIP flow (Section 4.3) moves
@@ -105,6 +106,10 @@ pub struct Cpu {
     epc: usize,
     halted: bool,
     stats: CpuStats,
+    /// Cycles retired since the bus was last ticked. Devices catch up
+    /// (`pay`) only where something can observe them, so the debt is 0
+    /// whenever a public call returns.
+    owed: u64,
     tracer: Tracer,
     track: TrackId,
     debug: DebugCtl,
@@ -133,6 +138,7 @@ impl Cpu {
             epc: 0,
             halted: true,
             stats: CpuStats::default(),
+            owed: 0,
             tracer,
             track,
             debug: DebugCtl::default(),
@@ -283,6 +289,26 @@ impl Cpu {
     /// Propagates memory, bus, decode, and divide faults; see
     /// [`IsaError`].
     pub fn step(&mut self) -> Result<bool, IsaError> {
+        let running = self.step_unpaid();
+        self.pay();
+        running
+    }
+
+    /// Advances every device by the cycles owed since the bus was last
+    /// ticked. `BusSlave::advance(a); advance(b)` equals `advance(a + b)`,
+    /// so paying late is exact.
+    fn pay(&mut self) {
+        let owed = std::mem::take(&mut self.owed);
+        if owed > 0 {
+            if let Some(bus) = self.bus.as_mut() {
+                bus.tick(owed);
+            }
+        }
+    }
+
+    /// Executes one instruction, adding its cycles to the debt. Devices
+    /// catch up only before a bus access or an interrupt sample.
+    fn step_unpaid(&mut self) -> Result<bool, IsaError> {
         if self.halted {
             return Ok(false);
         }
@@ -368,6 +394,8 @@ impl Cpu {
                 let addr = self.effective(rs1, imm);
                 self.note_watch(addr, false);
                 let v = if addr >= MMIO_BASE {
+                    // The bus reads the device's wait states and register.
+                    self.pay();
                     let bus = self.bus.as_mut().ok_or(IsaError::MemFault { addr })?;
                     let (value, bus_cycles) = bus.read((addr - MMIO_BASE) as u32)?;
                     cycles += bus_cycles;
@@ -386,6 +414,7 @@ impl Cpu {
                 self.note_watch(addr, true);
                 let v = self.regs[rs2.index()] as u32;
                 if addr >= MMIO_BASE {
+                    self.pay();
                     let bus = self.bus.as_mut().ok_or(IsaError::MemFault { addr })?;
                     let bus_cycles = bus.write((addr - MMIO_BASE) as u32, v)?;
                     cycles += bus_cycles;
@@ -436,10 +465,13 @@ impl Cpu {
         self.pc = next_pc;
         self.stats.instructions += 1;
         self.stats.cycles += cycles;
-        if let Some(bus) = self.bus.as_mut() {
-            bus.tick(cycles);
-            // Interrupt sampling happens between instructions.
-            if !self.halted && self.interrupts_enabled && !self.in_interrupt && bus.irq_pending() {
+        self.owed += cycles;
+        // Interrupt sampling happens between instructions, on devices
+        // caught up to this one's end. It stays per instruction: an armed
+        // `FaultySlave` draws randomness on every sample.
+        if !self.halted && self.interrupts_enabled && !self.in_interrupt {
+            self.pay();
+            if self.bus.as_ref().is_some_and(SystemBus::irq_pending) {
                 let Some(ivec) = self.program.ivec else {
                     return Err(IsaError::NoInterruptVector);
                 };
@@ -448,11 +480,11 @@ impl Cpu {
                 self.interrupts_enabled = false;
                 self.in_interrupt = true;
                 self.stats.irqs_taken += 1;
-                self.stats.cycles += 4; // interrupt entry overhead
-                                        // The entry overhead is real time: devices must see it too,
-                                        // or every taken interrupt silently skews the CPU clock
-                                        // 4 cycles ahead of the bus clock.
-                bus.tick(4);
+                // Interrupt entry overhead. It is real time: devices must
+                // see it too, or every taken interrupt silently skews the
+                // CPU clock 4 cycles ahead of the bus clock.
+                self.stats.cycles += 4;
+                self.owed += 4;
                 if self.tracer.is_on() {
                     self.tracer.instant(
                         self.track,
@@ -603,6 +635,7 @@ impl Cpu {
     /// tracer, and debugger session state are static or observational
     /// and are not serialized.
     pub fn save_state(&self, w: &mut StateWriter) {
+        debug_assert_eq!(self.owed, 0, "devices lag the CPU between public calls");
         for &r in &self.regs {
             w.i64(r);
         }
@@ -620,9 +653,7 @@ impl Cpu {
         match &self.bus {
             Some(bus) => {
                 w.bool(true);
-                let mut bw = StateWriter::new();
-                bus.save_state(&mut bw);
-                w.bytes(&bw.into_bytes());
+                w.nested(|w| bus.save_state(w));
             }
             None => w.bool(false),
         }
@@ -701,19 +732,17 @@ impl Cpu {
     ///
     /// # Errors
     ///
-    /// Propagates any fault from [`Cpu::step`].
+    /// Propagates any fault from [`Cpu::step`]; devices have caught up
+    /// to the fault either way.
     pub fn run_until(&mut self, t: u64) -> Result<CpuStats, IsaError> {
-        // `step` re-checks `halted` and re-reads `stats.cycles`, but both
-        // live on `self`, so the loop stays branch-predictable and the
-        // per-instruction `stats()` copies the adapter used to make are
-        // gone; `step` returns `false` at halt, which doubles as the
-        // hoisted halt check.
-        while self.stats.cycles < t {
-            if !self.step()? {
-                break;
-            }
+        // Devices catch up inside the loop only where the program can
+        // observe them, and once here, so callers see them current.
+        let mut running = Ok(true);
+        while self.stats.cycles < t && matches!(running, Ok(true)) {
+            running = self.step_unpaid();
         }
-        Ok(self.stats)
+        self.pay();
+        running.map(|_| self.stats)
     }
 }
 
@@ -971,6 +1000,37 @@ mod tests {
             counter.ticks, stats.cycles,
             "bus clock must match CPU clock across interrupt entry"
         );
+    }
+
+    #[test]
+    fn devices_are_current_whenever_a_call_returns() {
+        // Inside `run_until` devices catch up only when observed; every
+        // return — at a horizon, after a step, or on a fault — must
+        // leave them at the CPU's clock.
+        let p =
+            assemble("li r1, 40\nloop: addi r1, r1, -1\nbne r1, r0, loop\ndiv r2, r1, r0\nhalt\n")
+                .unwrap();
+        let mut bus = SystemBus::new(BusTiming::default());
+        bus.map(0x100, 0x10, Box::new(TickCounter::default()))
+            .unwrap();
+        let mut cpu = Cpu::new(64);
+        cpu.attach_bus(bus);
+        cpu.load_program(&p);
+        let ticks = |cpu: &Cpu| {
+            let bus = cpu.bus().unwrap();
+            bus.device_at::<TickCounter>(0x100).unwrap().ticks
+        };
+        for t in [5, 17, 18, 60] {
+            cpu.run_until(t).unwrap();
+            assert_eq!(ticks(&cpu), cpu.stats().cycles, "horizon {t}");
+        }
+        cpu.step().unwrap();
+        assert_eq!(ticks(&cpu), cpu.stats().cycles, "step");
+        assert!(matches!(
+            cpu.run(u64::MAX),
+            Err(IsaError::DivideByZero { .. })
+        ));
+        assert_eq!(ticks(&cpu), cpu.stats().cycles, "fault");
     }
 
     #[test]

@@ -27,11 +27,11 @@
 //! every round — is the tool for those.
 
 use codesign_fault::SharedInjector;
-use codesign_rtl::state::fnv1a_bytes;
+use codesign_rtl::state::{fnv1a_bytes, StateWriter};
 use codesign_sim::engine::Coordinator;
 use codesign_sim::error::SimError;
 
-use crate::session::{coordinator_bytes, ReplaySession};
+use crate::session::{coordinator_bytes, ReplaySession, CHECKPOINT_CAPACITY};
 
 /// How a bisection (or linear scan) concluded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,9 +43,10 @@ pub struct BisectReport {
     /// State comparisons the bisection performed (checkpoint digest
     /// probes plus refinement rounds).
     pub probes: u64,
-    /// State comparisons a linear scan needs to find the same round
-    /// (one per round up to and including the divergent one, or the
-    /// full horizon when there is none).
+    /// Not measured: `first_divergent_round`, or `rounds` when there is
+    /// none — the comparisons a linear scan *would* make if it stopped at
+    /// the round this bisection reports. A scan that stops at an earlier
+    /// divergence that later heals makes fewer.
     pub linear_probes: u64,
     /// Rounds both runs executed.
     pub rounds: u64,
@@ -114,10 +115,12 @@ impl Run {
     }
 
     /// The state observable compared between runs: an FNV digest of the
-    /// coordinator section of the current snapshot.
-    fn key(&self) -> Result<u64, SimError> {
-        let blob = self.s.snapshot_bytes();
-        Ok(fnv1a_bytes(coordinator_bytes(&blob)?))
+    /// coordinator's state bytes — the coordinator section a snapshot
+    /// would hold, without building the rest of the blob.
+    fn key(&self) -> u64 {
+        let mut w = StateWriter::with_capacity(CHECKPOINT_CAPACITY);
+        self.s.coordinator().save_state(&mut w);
+        fnv1a_bytes(&w.into_bytes())
     }
 
     fn checkpoint_key(&self, step: u64) -> Result<Option<u64>, SimError> {
@@ -199,7 +202,7 @@ pub fn bisect_divergence(
         // window). Only worth replaying when the end states differ.
         None => {
             probes += 1;
-            if g.key()? != f.key()? || golden_fingerprint != faulty_fingerprint {
+            if g.key() != f.key() || golden_fingerprint != faulty_fingerprint {
                 grid.last().copied()
             } else {
                 None
@@ -212,7 +215,7 @@ pub fn bisect_divergence(
         g.restore(anchor)?;
         f.restore(anchor)?;
         probes += 1;
-        if g.key()? != f.key()? {
+        if g.key() != f.key() {
             // The anchor itself differs — only possible when the very
             // first checkpoint (step 0) already diverged.
             first_divergent_round = Some(anchor);
@@ -226,7 +229,7 @@ pub fn bisect_divergence(
                 }
                 step += 1;
                 probes += 1;
-                if g.key()? != f.key()? {
+                if g.key() != f.key() {
                     first_divergent_round = Some(step);
                     break;
                 }
@@ -272,7 +275,7 @@ pub fn linear_first_divergence(
             return Ok(None);
         }
         step += 1;
-        if g.key()? != f.key()? {
+        if g.key() != f.key() {
             return Ok(Some(step));
         }
     }

@@ -23,20 +23,20 @@ use codesign_sim::fingerprint::coordinator_fingerprint;
 
 use crate::store::{StateStore, DEFAULT_PAGE_SIZE};
 
+/// Bytes [`snapshot`] reserves up front: a CPU checkpoint (4 KiB of
+/// data memory plus registers, bus and devices) fits without regrowing.
+pub(crate) const CHECKPOINT_CAPACITY: usize = 8 << 10;
+
 /// Serializes a coordinator (and optionally the run's fault injector)
 /// into one checkpoint blob.
 #[must_use]
 pub fn snapshot(coord: &Coordinator, injector: Option<&SharedInjector>) -> Vec<u8> {
-    let mut cw = StateWriter::new();
-    coord.save_state(&mut cw);
-    let mut w = StateWriter::new();
-    w.bytes(&cw.into_bytes());
+    let mut w = StateWriter::with_capacity(CHECKPOINT_CAPACITY);
+    w.nested(|w| coord.save_state(w));
     match injector {
         Some(inj) => {
             w.bool(true);
-            let mut iw = StateWriter::new();
-            inj.borrow().save_state(&mut iw);
-            w.bytes(&iw.into_bytes());
+            w.nested(|w| inj.borrow().save_state(w));
         }
         None => w.bool(false),
     }

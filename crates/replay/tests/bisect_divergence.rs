@@ -5,6 +5,7 @@
 mod common;
 
 use codesign_fault::{shared, BusRates, FaultPlan, FaultyEngine, FaultyPhy, SharedInjector};
+use codesign_isa::asm::assemble;
 use codesign_replay::{bisect_divergence, linear_first_divergence};
 use codesign_rtl::bus::BusTiming;
 use codesign_sim::adapters::CpuEngine;
@@ -59,7 +60,8 @@ fn deterministic_stall_is_bisected_to_the_exact_round() {
 fn register_run(plan: FaultPlan) -> Result<(Coordinator, Option<SharedInjector>), SimError> {
     let cfg = ladder_cfg();
     let injector = shared(5);
-    let mut cpu = build_cpu(&cfg.spec()?, &producer_program(&cfg), false)?;
+    let program = assemble(&producer_program(&cfg))?;
+    let mut cpu = build_cpu(&cfg.spec()?, &program, false)?;
     cpu.bus_mut()
         .expect("bus attached")
         .set_phy(Box::new(FaultyPhy::new(

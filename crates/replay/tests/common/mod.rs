@@ -6,6 +6,7 @@
 #![allow(dead_code)]
 
 use codesign_fault::SharedInjector;
+use codesign_isa::asm::assemble;
 use codesign_sim::adapters::CpuEngine;
 use codesign_sim::engine::Coordinator;
 use codesign_sim::ladder::{
@@ -24,7 +25,8 @@ pub fn ladder_cfg() -> LadderConfig {
 
 fn iss_level(pin: bool) -> (Coordinator, Option<SharedInjector>) {
     let cfg = ladder_cfg();
-    let cpu = build_cpu(&cfg.spec().unwrap(), &producer_program(&cfg), pin).unwrap();
+    let program = assemble(&producer_program(&cfg)).unwrap();
+    let cpu = build_cpu(&cfg.spec().unwrap(), &program, pin).unwrap();
     let mut coord = Coordinator::lockstep(QUANTUM);
     coord.add_engine(Box::new(CpuEngine::new("cpu", cpu)));
     (coord, None)

@@ -456,15 +456,13 @@ impl SystemBus {
             w.u64(m.reads);
             w.u64(m.writes);
             w.u64(m.last_write_seq);
-            let mut sw = StateWriter::new();
-            m.slave.save_state(&mut sw);
-            w.bytes(&sw.into_bytes());
+            w.nested(|w| m.slave.save_state(w));
         }
-        let mut pw = StateWriter::new();
-        if let Some(phy) = &self.phy {
-            phy.save_state(&mut pw);
-        }
-        w.bytes(&pw.into_bytes());
+        w.nested(|w| {
+            if let Some(phy) = &self.phy {
+                phy.save_state(w);
+            }
+        });
     }
 
     /// Restores state captured by [`SystemBus::save_state`] into a bus

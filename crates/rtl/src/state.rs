@@ -14,9 +14,13 @@
 //!
 //! * integers are little-endian and fixed-width (`u64` for lengths);
 //! * sequences are a `u64` length followed by the elements;
-//! * nested/opaque blobs are length-prefixed byte strings
-//!   ([`StateWriter::bytes`]), so containers can skip or delegate
-//!   without knowing inner layouts;
+//! * nested/opaque blobs are length-prefixed byte strings, so
+//!   containers can skip or delegate without knowing inner layouts. A
+//!   container writes each section in place with
+//!   [`StateWriter::nested`] — an 8-byte length patched after the
+//!   section's fields — which yields the bytes [`StateWriter::bytes`]
+//!   would over a separately built blob, without building one; readers
+//!   take the section back with [`StateReader::bytes`];
 //! * maps are written in sorted key order, so identical logical state
 //!   always produces identical bytes (checkpoint dedup and divergence
 //!   comparison both hash the bytes);
@@ -38,6 +42,15 @@ impl StateWriter {
     #[must_use]
     pub fn new() -> Self {
         StateWriter::default()
+    }
+
+    /// An empty writer whose buffer already holds `capacity` bytes, for
+    /// callers that know roughly how large the state is.
+    #[must_use]
+    pub fn with_capacity(capacity: usize) -> Self {
+        StateWriter {
+            buf: Vec::with_capacity(capacity),
+        }
     }
 
     /// Finishes, yielding the serialized bytes.
@@ -92,6 +105,18 @@ impl StateWriter {
     pub fn bytes(&mut self, v: &[u8]) {
         self.usize(v.len());
         self.buf.extend_from_slice(v);
+    }
+
+    /// Appends a length-prefixed section written by `section` in place:
+    /// an 8-byte length placeholder, the section's fields, then the
+    /// length patched in. The bytes equal [`StateWriter::bytes`] over the
+    /// same fields written into a writer of their own.
+    pub fn nested(&mut self, section: impl FnOnce(&mut StateWriter)) {
+        let at = self.buf.len();
+        self.u64(0);
+        section(self);
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
     }
 
     /// Appends a length-prefixed UTF-8 string.
@@ -302,6 +327,58 @@ mod tests {
         let mut r = StateReader::new(&bytes);
         let err = r.seq(Some(4)).unwrap_err();
         assert!(matches!(err, RtlError::State { .. }), "{err}");
+    }
+
+    /// The nested-writer form `nested` replaces: build the section in a
+    /// writer of its own, then append it length-prefixed.
+    fn boxed(w: &mut StateWriter, section: impl FnOnce(&mut StateWriter)) {
+        let mut inner = StateWriter::new();
+        section(&mut inner);
+        w.bytes(&inner.into_bytes());
+    }
+
+    #[test]
+    fn nested_empty_section_matches_a_separate_writer() {
+        let (mut a, mut b) = (StateWriter::new(), StateWriter::new());
+        a.u8(1);
+        a.nested(|_| {});
+        b.u8(1);
+        boxed(&mut b, |_| {});
+        assert_eq!(a.into_bytes(), b.into_bytes());
+    }
+
+    #[test]
+    fn nested_section_inside_a_section_matches_separate_writers() {
+        let (mut a, mut b) = (StateWriter::new(), StateWriter::new());
+        a.nested(|w| {
+            w.u32(7);
+            w.nested(|w| w.str("inner"));
+            w.bool(true);
+        });
+        boxed(&mut b, |w| {
+            w.u32(7);
+            boxed(w, |w| w.str("inner"));
+            w.bool(true);
+        });
+        assert_eq!(a.into_bytes(), b.into_bytes());
+    }
+
+    #[test]
+    fn fields_after_a_nested_section_match_and_read_back() {
+        let (mut a, mut b) = (StateWriter::new(), StateWriter::new());
+        a.nested(|w| w.i64(-3));
+        a.u64(9);
+        a.bytes(b"tail");
+        boxed(&mut b, |w| w.i64(-3));
+        b.u64(9);
+        b.bytes(b"tail");
+        let bytes = a.into_bytes();
+        assert_eq!(bytes, b.into_bytes());
+        let mut r = StateReader::new(&bytes);
+        assert_eq!(r.bytes().unwrap(), (-3i64).to_le_bytes());
+        assert_eq!(r.u64().unwrap(), 9);
+        assert_eq!(r.bytes().unwrap(), b"tail");
+        r.finish().unwrap();
     }
 
     #[test]

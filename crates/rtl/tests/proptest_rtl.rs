@@ -2,13 +2,20 @@
 //! simulator must agree with a direct combinational evaluation on random
 //! feed-forward netlists, the bus/FSMD invariants must hold for
 //! arbitrary stimulus, and every device's closed-form
-//! [`BusSlave::advance`] must land exactly where per-cycle ticking does.
+//! [`BusSlave::advance`] must land exactly where per-cycle ticking does —
+//! in one catch-up or split in two, which is what lets the CPU pay its
+//! devices late.
 
-use codesign_rtl::bus::{fifo_regs, BusSlave, BusTiming, DrainFifo, Ram, SystemBus, Timer};
+use codesign_ir::cdfg::OpKind;
+use codesign_rtl::bus::{
+    coproc_regs, fifo_regs, BusSlave, BusTiming, CoprocessorPort, DrainFifo, Ram, SystemBus, Timer,
+};
+use codesign_rtl::fsmd::{Fsmd, FsmdSim, MicroOp, Next, Operand, RegId, State, StateId};
 use codesign_rtl::netlist::{GateKind, NetId, Netlist};
 use codesign_rtl::sim::Simulator;
 use codesign_rtl::state::{StateReader, StateWriter};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 const GATES: [GateKind; 8] = [
     GateKind::And,
@@ -81,6 +88,76 @@ fn timer(load: u32, value: u32, ctrl: u8, irq: bool) -> Timer {
     t.restore_state(&mut StateReader::new(&bytes))
         .expect("well-formed timer state");
     t
+}
+
+/// A co-processor port whose FSMD counts its operand down to zero, one
+/// state per cycle, then raises `done`: optionally started and ticked
+/// `pre_ticks` cycles, so catch-ups begin idle, mid-run or at `done`.
+fn countdown_port(operand: u32, irq_enable: bool, start: bool, pre_ticks: u64) -> CoprocessorPort {
+    let op = |op, args| MicroOp {
+        dst: RegId(0),
+        op,
+        args,
+    };
+    let mut f = Fsmd::new("countdown", 1, 1, vec![RegId(0)]);
+    let states = [
+        State {
+            ops: vec![op(OpKind::Add, vec![Operand::Input(0), Operand::Const(0)])],
+            next: Next::Step,
+        },
+        State {
+            ops: vec![op(
+                OpKind::Sub,
+                vec![Operand::Reg(RegId(0)), Operand::Const(1)],
+            )],
+            next: Next::BranchZero {
+                reg: RegId(0),
+                then_state: StateId(2),
+                else_state: StateId(1),
+            },
+        },
+        State {
+            ops: Vec::new(),
+            next: Next::Done,
+        },
+    ];
+    for state in states {
+        f.add_state(state).expect("valid state");
+    }
+    let mut port = CoprocessorPort::new(FsmdSim::new(f).expect("valid fsmd"));
+    port.write(coproc_regs::INPUT_BASE, operand);
+    port.write(coproc_regs::IRQ_ENABLE, u32::from(irq_enable));
+    if start {
+        port.write(coproc_regs::START, 1);
+    }
+    for _ in 0..pre_ticks {
+        port.tick();
+    }
+    port
+}
+
+/// One `advance(n)`, and every split `advance(k); advance(n - k)`, leave
+/// the checkpoint and irq line of `n` ticks — so a device may be caught
+/// up late, in one call or several.
+fn catch_ups_match_ticking<D: BusSlave>(
+    fresh: impl Fn() -> D,
+    n: u64,
+) -> Result<(), TestCaseError> {
+    let mut ticked = fresh();
+    for _ in 0..n {
+        ticked.tick();
+    }
+    let expected = (state_of(&ticked), ticked.irq_pending());
+    let mut once = fresh();
+    once.advance(n);
+    prop_assert_eq!(&(state_of(&once), once.irq_pending()), &expected);
+    for k in 0..=n {
+        let mut split = fresh();
+        split.advance(k);
+        split.advance(n - k);
+        prop_assert_eq!(&(state_of(&split), split.irq_pending()), &expected);
+    }
+    Ok(())
 }
 
 fn reference_eval(rn: &RandomNetlist, stimulus: u64) -> Vec<bool> {
@@ -171,8 +248,9 @@ proptest! {
 
     /// A FIFO caught up by `advance(n)` matches one ticked `n` times —
     /// words drained, occupancy, the tail-drain estimate and the whole
-    /// checkpoint — for every `n` up to three drain periods, exact
-    /// multiples included, from any in-flight countdown.
+    /// checkpoint, also when the catch-up is split in two — for every `n`
+    /// up to three drain periods, exact multiples included, from any
+    /// in-flight countdown.
     #[test]
     fn drain_fifo_advance_matches_ticking(
         capacity in 1usize..8,
@@ -199,13 +277,14 @@ proptest! {
             prop_assert_eq!(advanced.drained(), ticked.drained());
             prop_assert_eq!(advanced.occupancy(), ticked.occupancy());
             prop_assert_eq!(advanced.cycles_to_drain(), ticked.cycles_to_drain());
-            prop_assert_eq!(state_of(&advanced), state_of(&ticked));
+            catch_ups_match_ticking(fresh, n)?;
         }
     }
 
-    /// A timer caught up by `advance(n)` matches one ticked `n` times
-    /// over every CTRL bit combination, `load` and `value` including 0,
-    /// auto-reload on and off, and every `n` up to three reload periods.
+    /// A timer caught up by `advance(n)`, or split in two, matches one
+    /// ticked `n` times over every CTRL bit combination, `load` and
+    /// `value` including 0, auto-reload on and off, and every `n` up to
+    /// three reload periods.
     #[test]
     fn timer_advance_matches_ticking(
         load in 0u32..8,
@@ -215,15 +294,23 @@ proptest! {
         for ctrl in 0..8u8 {
             let period = u64::from(load.max(value).max(1));
             for n in 0..=3 * period {
-                let (mut ticked, mut advanced) =
-                    (timer(load, value, ctrl, irq), timer(load, value, ctrl, irq));
-                for _ in 0..n {
-                    ticked.tick();
-                }
-                advanced.advance(n);
-                prop_assert_eq!(state_of(&advanced), state_of(&ticked));
-                prop_assert_eq!(advanced.irq_pending(), ticked.irq_pending());
+                catch_ups_match_ticking(|| timer(load, value, ctrl, irq), n)?;
             }
+        }
+    }
+
+    /// A co-processor caught up in one step, or split in two, matches
+    /// one ticked cycle by cycle — FSMD registers, state, cycle count and
+    /// the done interrupt — idle, mid-run and past `done`.
+    #[test]
+    fn coprocessor_advance_matches_ticking(
+        operand in 1u32..6,
+        irq_enable in any::<bool>(),
+        start in any::<bool>(),
+        pre_ticks in 0u64..4,
+    ) {
+        for n in 0..=2 * (u64::from(operand) + 2) {
+            catch_ups_match_ticking(|| countdown_port(operand, irq_enable, start, pre_ticks), n)?;
         }
     }
 }

@@ -633,9 +633,7 @@ impl Coordinator {
         }
         w.seq(self.engines.len());
         for e in &self.engines {
-            let mut ew = StateWriter::new();
-            e.save_state(&mut ew);
-            w.bytes(&ew.into_bytes());
+            w.nested(|w| e.save_state(w));
         }
     }
 

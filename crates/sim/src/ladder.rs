@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use codesign_ir::process::{Action, Process, ProcessNetwork};
 use codesign_ir::workload::sysgen::{ChannelSpec, DeviceKind, MemRegion, SystemSpec, REGION_SIZE};
-use codesign_isa::asm::assemble;
+use codesign_isa::asm::{assemble, Program};
 use codesign_isa::cpu::{Cpu, MMIO_BASE};
 use codesign_rtl::bus::{
     fifo_regs, BusSlave, BusTiming, DrainFifo, Gpio, Ram, SystemBus, Timer, Uart,
@@ -258,15 +258,16 @@ pub fn producer_program(cfg: &LadderConfig) -> String {
 
 /// Builds the CR32 that realizes `spec` at an ISS level: the spec's
 /// memory map on a fresh bus, the gate-level [`PinPhy`] over every region
-/// when `pin_level`, and the assembled `program` loaded into 4 KiB of
-/// memory. Callers that need more on the bus — a timer, a
-/// fault-injecting phy — add it through [`Cpu::bus_mut`].
+/// when `pin_level`, and `program` loaded into 4 KiB of memory. The
+/// program comes assembled, so one assembly serves both ISS levels.
+/// Callers that need more on the bus — a timer, a fault-injecting phy —
+/// add it through [`Cpu::bus_mut`].
 ///
 /// # Errors
 ///
 /// [`SimError::Spec`] if `spec` fails [`SystemSpec::validate`], and
-/// bus-mapping, pin-protocol and assembler errors.
-pub fn build_cpu(spec: &SystemSpec, program: &str, pin_level: bool) -> Result<Cpu, SimError> {
+/// bus-mapping and pin-protocol errors.
+pub fn build_cpu(spec: &SystemSpec, program: &Program, pin_level: bool) -> Result<Cpu, SimError> {
     spec.validate()?;
     let mut bus = SystemBus::new(BusTiming::default());
     for (i, region) in spec.regions.iter().enumerate() {
@@ -292,10 +293,9 @@ pub fn build_cpu(spec: &SystemSpec, program: &str, pin_level: bool) -> Result<Cp
         let regions: Vec<(u32, u32)> = spec.regions.iter().map(|r| (r.base, r.size)).collect();
         bus.set_phy(Box::new(PinPhy::new(&regions)?));
     }
-    let program = assemble(program)?;
     let mut cpu = Cpu::new(4096);
     cpu.attach_bus(bus);
-    cpu.load_program(&program);
+    cpu.load_program(program);
     Ok(cpu)
 }
 
@@ -311,7 +311,7 @@ pub fn build_cpu(spec: &SystemSpec, program: &str, pin_level: bool) -> Result<Cp
 /// not halt within the cycle budget).
 pub fn realize_iss(
     spec: &SystemSpec,
-    program: &str,
+    program: &Program,
     pin_level: bool,
     tracer: &Tracer,
 ) -> Result<LevelRun, SimError> {
@@ -658,7 +658,7 @@ fn level_report(
     let run = match level {
         AbstractionLevel::Pin | AbstractionLevel::Register => realize_iss(
             &spec,
-            &producer_program(cfg),
+            &assemble(&producer_program(cfg))?,
             level == AbstractionLevel::Pin,
             tracer,
         )?,
@@ -892,7 +892,7 @@ mod tests {
     /// lives in `codesign-conform`, downstream of this crate). The seed is
     /// one whose FIFOs all still hold words at `halt`, each with a
     /// different tail, the longest in the middle channel.
-    fn multi_channel_system() -> (SystemSpec, String) {
+    fn multi_channel_system() -> (SystemSpec, Program) {
         let spec = random_system(&SysConfig {
             max_irq_bytes: 6,
             seed: 1686,
@@ -932,14 +932,17 @@ mod tests {
              add r11, r11, r10\n    addi r9, r9, 1\n    rti\n",
             uart_regs::RX
         );
-        (spec, p)
+        (spec, assemble(&p).unwrap())
     }
 
     /// The ladder's one-FIFO system with its producer, then
     /// [`multi_channel_system`].
-    fn iss_inputs(cfg: &LadderConfig) -> [(SystemSpec, String); 2] {
+    fn iss_inputs(cfg: &LadderConfig) -> [(SystemSpec, Program); 2] {
         [
-            (cfg.spec().unwrap(), producer_program(cfg)),
+            (
+                cfg.spec().unwrap(),
+                assemble(&producer_program(cfg)).unwrap(),
+            ),
             multi_channel_system(),
         ]
     }
@@ -1086,7 +1089,7 @@ mod tests {
             drain_period: 12,
         };
         assert!(matches!(
-            build_cpu(&spec, "halt", false),
+            build_cpu(&spec, &assemble("halt").unwrap(), false),
             Err(SimError::Spec(_))
         ));
     }

@@ -30,6 +30,14 @@ cargo run --release -q -p codesign-bench --bin bench-partition -- --smoke
 echo "== bench-faults smoke (10 seeds, gates class accounting) =="
 cargo run --release -q -p codesign-bench --bin bench-faults -- --smoke
 
+# The full campaign (32 seeds x 4 scenarios, ~0.1 s) holds no timings
+# and no git revision, so it must regenerate the checked-in report byte
+# for byte. Armed IRQ sampling and fault cycle stamps ride on exact
+# device catch-up; any drift shows here.
+echo "== bench-faults full (byte-identical to BENCH_faults.json) =="
+cargo run --release -q -p codesign-bench --bin bench-faults -- target/BENCH_faults.json
+cmp target/BENCH_faults.json BENCH_faults.json
+
 # Gates report byte-identity across threads {1,2,4,8,16} and cold/warm
 # persistent-cache runs, revisit absorption, and — on hosts with >= 4
 # cores — a >= 1.2x speedup at 4 threads (skipped below that, where the
