@@ -6,20 +6,18 @@
 //! incumbent. Rebuilding the full list schedule for every candidate
 //! (what [`DesignSpace::evaluate`](crate::DesignSpace::evaluate) does)
 //! throws that locality away. [`Stage1`] instead keeps one committed
-//! [`Evaluator`] and moves it to each offered assignment by the
-//! cheapest route:
+//! [`Evaluator`] and moves it to each offered assignment with one
+//! [`Evaluator::apply_flips`] of the tasks that differ: one replay of
+//! the schedule suffix from the earliest flipped position. The
+//! evaluator guarantees a replay equals a from-scratch pass, so every
+//! move lands on bit-identical state, and no move costs more than a
+//! rebuild, which replays from position zero.
 //!
-//! * **delta** — when the offered assignment differs from the committed
-//!   one in at most [`MAX_DELTA_FLIPS`] tasks, apply the flips one by
-//!   one; each [`Evaluator::apply_flip`] replays only the schedule
-//!   suffix after the flipped task's position (a `delta_hit`);
-//! * **reset** — otherwise rebuild from scratch, exactly like a full
-//!   evaluation (a `delta_miss`).
-//!
-//! Both routes land on bit-identical state — PR 1's evaluator
-//! guarantees a commit replay equals a from-scratch pass — so callers
-//! never observe which route was taken, only the
-//! [`hit_rate`](Stage1::hit_rate).
+//! [`Stage1::evaluate`] counts each scoring pass by the width of its
+//! move: a `delta_hit` when it flips at most [`MAX_DELTA_FLIPS`] tasks,
+//! a `delta_miss` otherwise. The counters only report how local the
+//! candidate stream is, as the [`hit_rate`](Stage1::hit_rate); they do
+//! not choose how a move is scored.
 //!
 //! The same evaluator also prices **flip sensitivities** for the
 //! sampler: [`Stage1::profile`] returns the task indices of an
@@ -36,8 +34,9 @@ use codesign_partition::{Partition, Side};
 
 use crate::Fnv1a;
 
-/// Largest committed-vs-target diff the delta route accepts; beyond
-/// this a reset is cheaper than replaying many overlapping suffixes.
+/// Widest move counted as a `delta_hit`; wider moves count as
+/// `delta_misses`. The width only splits the counters: a move of any
+/// width is one replay from its earliest flipped position.
 pub const MAX_DELTA_FLIPS: usize = 8;
 
 /// Sensitivity profiles memoized before the map is wholly cleared.
@@ -54,10 +53,14 @@ pub struct Stage1<'a> {
     /// evaluator which would reject them all.
     evaluator: Option<Evaluator<'a>>,
     committed: Vec<Side>,
+    /// The tasks a move flips, reused from move to move.
+    flips: Vec<TaskId>,
     profiles: HashMap<u64, Vec<usize>>,
-    /// Scoring passes served by suffix replays.
+    /// Scoring passes whose move flipped at most [`MAX_DELTA_FLIPS`]
+    /// tasks.
     pub delta_hits: u64,
-    /// Scoring passes that needed a full reset.
+    /// Scoring passes whose move flipped more than [`MAX_DELTA_FLIPS`]
+    /// tasks.
     pub delta_misses: u64,
 }
 
@@ -82,48 +85,39 @@ impl<'a> Stage1<'a> {
         Stage1 {
             evaluator: Evaluator::new(graph, config, &seed).ok(),
             committed: vec![Side::Sw; n],
+            flips: Vec::with_capacity(n),
             profiles: HashMap::new(),
             delta_hits: 0,
             delta_misses: 0,
         }
     }
 
-    /// Moves the committed evaluator to `assignment` without counting
-    /// the move as a scoring pass. Returns `None` when the graph is
-    /// unschedulable or the assignment length is wrong.
-    fn commit(&mut self, assignment: &[Side]) -> Option<()> {
+    /// Moves the committed evaluator to `assignment` with one replay,
+    /// without counting the move as a scoring pass, and returns whether
+    /// the move flipped at most [`MAX_DELTA_FLIPS`] tasks. Returns `None`
+    /// when the graph is unschedulable or the assignment length is wrong.
+    fn commit(&mut self, assignment: &[Side]) -> Option<bool> {
         let ev = self.evaluator.as_mut()?;
         if assignment.len() != self.committed.len() {
             return None;
         }
-        let diffs: Vec<usize> = (0..assignment.len())
-            .filter(|&i| assignment[i] != self.committed[i])
-            .collect();
-        if diffs.len() <= MAX_DELTA_FLIPS {
-            for &i in &diffs {
-                ev.apply_flip(TaskId::from_index(i));
-            }
-        } else {
-            ev.reset(&Partition::from_sides(assignment.to_vec())).ok()?;
-        }
+        self.flips.clear();
+        self.flips.extend(
+            (0..assignment.len())
+                .filter(|&i| assignment[i] != self.committed[i])
+                .map(TaskId::from_index),
+        );
+        ev.apply_flips(&self.flips);
         self.committed.copy_from_slice(assignment);
-        Some(())
+        Some(self.flips.len() <= MAX_DELTA_FLIPS)
     }
 
-    /// Scores `assignment` with the partition cost model, by suffix
-    /// replay when it is within [`MAX_DELTA_FLIPS`] of the committed
-    /// assignment and by full reset otherwise. Bit-identical to
-    /// [`codesign_partition::eval::evaluate`] either way.
+    /// Scores `assignment` with the partition cost model by one suffix
+    /// replay from the committed assignment, counting the pass as a
+    /// `delta_hit` or a `delta_miss` by the width of the move.
+    /// Bit-identical to [`codesign_partition::eval::evaluate`].
     pub fn evaluate(&mut self, assignment: &[Side]) -> Option<Evaluation> {
-        let near = self.evaluator.is_some()
-            && assignment
-                .iter()
-                .zip(&self.committed)
-                .filter(|(a, b)| a != b)
-                .count()
-                <= MAX_DELTA_FLIPS;
-        self.commit(assignment)?;
-        if near {
+        if self.commit(assignment)? {
             self.delta_hits += 1;
         } else {
             self.delta_misses += 1;
@@ -154,7 +148,8 @@ impl<'a> Stage1<'a> {
         self.profiles.get(&key).map(Vec::as_slice)
     }
 
-    /// Fraction of scoring passes served by suffix replays.
+    /// Fraction of scoring passes whose move flipped at most
+    /// [`MAX_DELTA_FLIPS`] tasks.
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
         let total = self.delta_hits + self.delta_misses;
@@ -210,8 +205,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xD317A);
         let mut sides = vec![Side::Sw; g.len()];
         for step in 0..200 {
-            // Mix small mutations (delta route) with large jumps (reset
-            // route) so both paths are exercised.
+            // Mix small mutations with large jumps so wide replays are
+            // checked and both counters move.
             let flips = if step % 7 == 0 {
                 rng.gen_range(MAX_DELTA_FLIPS + 1..=g.len())
             } else {
@@ -224,10 +219,10 @@ mod tests {
             let got = stage1.evaluate(&sides).expect("schedulable");
             let want = full_evaluate(&g, &Partition::from_sides(sides.clone()), &cfg)
                 .expect("schedulable");
-            assert_eq!(got, want, "step {step}: delta route diverged from full");
+            assert_eq!(got, want, "step {step}: replay diverged from full");
         }
-        assert!(stage1.delta_hits > 0, "delta route never taken");
-        assert!(stage1.delta_misses > 0, "reset route never taken");
+        assert!(stage1.delta_hits > 0, "no narrow move counted");
+        assert!(stage1.delta_misses > 0, "no wide move counted");
     }
 
     #[test]

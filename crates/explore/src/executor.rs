@@ -197,9 +197,12 @@ pub struct ExploreStats {
     pub gated: u64,
     /// Draws redrawn because they landed on an already-seen point.
     pub dedup_skips: u64,
-    /// Stage-1 scoring passes served by suffix replays (`Delta` only).
+    /// Stage-1 scoring passes whose move flipped at most
+    /// [`MAX_DELTA_FLIPS`](crate::delta::MAX_DELTA_FLIPS) tasks (`Delta`
+    /// only).
     pub delta_hits: u64,
-    /// Stage-1 scoring passes that needed a full reset (`Delta` only).
+    /// Stage-1 scoring passes whose move flipped more tasks than that
+    /// (`Delta` only).
     pub delta_misses: u64,
     /// Simulations this process ran: unique points in `Full` mode,
     /// distinct non-gated simulation classes in `Delta` mode. Warm
@@ -221,8 +224,9 @@ impl ExploreStats {
         }
     }
 
-    /// Fraction of stage-1 scoring passes served by suffix replays
-    /// instead of full resets. 0.0 in `Full` mode (no passes run).
+    /// Fraction of stage-1 scoring passes whose move flipped at most
+    /// [`MAX_DELTA_FLIPS`](crate::delta::MAX_DELTA_FLIPS) tasks. 0.0 in
+    /// `Full` mode (no passes run).
     #[must_use]
     pub fn delta_hit_rate(&self) -> f64 {
         let total = self.delta_hits + self.delta_misses;
@@ -603,21 +607,21 @@ fn run_pipeline(
         }
 
         // Generate one round against the (depth-lagged) archive and
-        // resolve it in candidate order.
-        let entries = archive.entries();
-        let snapshot: Vec<DesignPoint> = entries.iter().map(|e| e.point.clone()).collect();
-        let snapshot_scores: Vec<Score> = entries.iter().map(|e| e.score.clone()).collect();
+        // resolve it in candidate order. Nothing mutates the archive
+        // until the next merge, so the round reads it in place.
+        let snapshot = archive.entries();
         // One incumbent per round: the whole round sweeps a single
         // Pareto entry's mutation neighborhood (the paper's §4.2
         // "iterative refinement of a candidate" shape). Besides focus,
         // this keeps consecutive stage-1 commits within a few flips of
-        // each other, so the suffix-restart evaluator almost never
-        // rebuilds from scratch even on 256-task graphs.
+        // each other, so stage-1 moves stay narrow (`delta_hits`) even
+        // on 256-task graphs.
         let round_base = if snapshot.is_empty() {
-            0
+            None
         } else {
             let stream = fnv1a_str(&format!("base:round:{rounds}"));
-            StdRng::seed_from_u64(cfg.seed ^ stream).gen_range(0..snapshot.len())
+            let i = StdRng::seed_from_u64(cfg.seed ^ stream).gen_range(0..snapshot.len());
+            Some(&snapshot[i].point)
         };
         let mut candidates: Vec<Candidate> = Vec::with_capacity(workers);
         let mut batch_points: Vec<DesignPoint> = Vec::new();
@@ -628,11 +632,17 @@ fn run_pipeline(
             }
             let stream = fnv1a_str(&format!("worker:{w}:round:{rounds}"));
             let mut rng = StdRng::seed_from_u64(cfg.seed ^ stream);
-            let mut point = next_candidate(space, &snapshot, round_base, &mut stage1, &mut rng);
+            // One point per offer: every redraw overwrites it in place.
+            let mut point = DesignPoint {
+                assignment: Vec::with_capacity(space.len()),
+                quantum: QUANTA[0],
+                level: LEVELS[0],
+            };
+            next_candidate(space, round_base, &mut stage1, &mut rng, &mut point);
             let mut key = space.key(&point);
             let mut retries = 0u32;
             while retries < cfg.dedup_retries && seen.contains(&key) {
-                point = next_candidate(space, &snapshot, round_base, &mut stage1, &mut rng);
+                next_candidate(space, round_base, &mut stage1, &mut rng, &mut point);
                 key = space.key(&point);
                 retries += 1;
                 dedup_skips += 1;
@@ -680,7 +690,7 @@ fn run_pipeline(
                         let lb = space.latency_lower_bound(&point.assignment, point.level);
                         let cross = space.exact_cross_bytes(&point.assignment);
                         let rounds_lb = sync_rounds_for(lb, point.quantum);
-                        let dominated = snapshot_scores.iter().any(|s| {
+                        let dominated = snapshot.iter().map(|e| &e.score).any(|s| {
                             s.latency <= lb
                                 && s.hw_area <= pe.hw_area
                                 && s.cross_bytes <= cross
@@ -766,38 +776,45 @@ fn run_pipeline(
     }
 }
 
-/// Draws one candidate: a uniform restart, or a mutation of the round's
-/// base incumbent — flip one task, flip two, re-draw the quantum, re-draw
-/// the abstraction level, draw from the full single-flip × quanta ×
-/// levels cross-product neighborhood, a scaling multi-flip whose width
-/// grows with the task count (the move that lets 256-task spaces escape
-/// local basins), or one of two **sensitivity-guided** moves that flip
-/// a task from the top of the incumbent's flip-delta ranking (the
-/// highest-gradient refinement of the paper's §4.2 survey).
+/// Draws one candidate into `point`, overwriting all of it: a uniform
+/// restart, or a mutation of the round's base incumbent — flip one task,
+/// flip two, re-draw the quantum, re-draw the abstraction level, draw
+/// from the full single-flip × quanta × levels cross-product
+/// neighborhood, a scaling multi-flip whose width grows with the task
+/// count (the move that lets 256-task spaces escape local basins), or
+/// one of two **sensitivity-guided** moves that flip a task from the top
+/// of the incumbent's flip-delta ranking (the highest-gradient
+/// refinement of the paper's §4.2 survey).
 fn next_candidate(
     space: &DesignSpace,
-    snapshot: &[DesignPoint],
-    round_base: usize,
+    base: Option<&DesignPoint>,
     stage1: &mut Stage1,
     rng: &mut StdRng,
-) -> DesignPoint {
-    let restart = snapshot.is_empty() || rng.gen_bool(RESTART_PCT);
-    if restart {
-        return DesignPoint {
-            assignment: (0..space.len())
-                .map(|_| {
-                    if rng.gen_bool(0.5) {
-                        Side::Hw
-                    } else {
-                        Side::Sw
-                    }
-                })
-                .collect(),
-            quantum: QUANTA[rng.gen_range(0..QUANTA.len())],
-            level: LEVELS[rng.gen_range(0..LEVELS.len())],
-        };
+    point: &mut DesignPoint,
+) {
+    // The restart draw is made only when there is a base to mutate.
+    match base {
+        Some(base) if !rng.gen_bool(RESTART_PCT) => {
+            // Field by field: the derived `clone_from` would reallocate
+            // the assignment.
+            point.assignment.clone_from(&base.assignment);
+            point.quantum = base.quantum;
+            point.level = base.level;
+        }
+        _ => {
+            point.assignment.clear();
+            point.assignment.extend((0..space.len()).map(|_| {
+                if rng.gen_bool(0.5) {
+                    Side::Hw
+                } else {
+                    Side::Sw
+                }
+            }));
+            point.quantum = QUANTA[rng.gen_range(0..QUANTA.len())];
+            point.level = LEVELS[rng.gen_range(0..LEVELS.len())];
+            return;
+        }
     }
-    let mut point = snapshot[round_base.min(snapshot.len() - 1)].clone();
     match rng.gen_range(0u8..8) {
         0 => flip_random(&mut point.assignment, rng),
         1 => {
@@ -813,7 +830,7 @@ fn next_candidate(
             let size = space.cross_neighborhood_size(QUANTA.len(), LEVELS.len());
             if size > 0 {
                 let index = rng.gen_range(0..size);
-                point = space.cross_neighbor(&point, index, &QUANTA, &LEVELS);
+                *point = space.cross_neighbor(point, index, &QUANTA, &LEVELS);
             }
         }
         5 => {
@@ -852,7 +869,6 @@ fn next_candidate(
             point.quantum = QUANTA[rng.gen_range(0..QUANTA.len())];
         }
     }
-    point
 }
 
 fn flip_random(assignment: &mut [Side], rng: &mut StdRng) {

@@ -586,6 +586,9 @@ fn digest_of(graph: &TaskGraph, config: &SpaceConfig) -> u64 {
 mod tests {
     use super::*;
     use codesign_ir::task::Task;
+    use codesign_ir::workload::tgff::{random_task_graph, TgffConfig};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn chain() -> TaskGraph {
         let mut g = TaskGraph::new("chain");
@@ -781,52 +784,79 @@ mod tests {
         }
     }
 
+    /// The spaces and assignments the analytic legs of the gate's bound
+    /// are checked on: the 3-task chain with all eight assignments, and
+    /// seeded TGFF graphs of 8 to 64 tasks at 1, 2 and 12 invocations,
+    /// with compute costs down to one cycle (below the invocation count,
+    /// where the per-invocation cost clamps to 1), each with
+    /// all-software, all-hardware and random assignments.
+    fn bound_cases() -> Vec<(DesignSpace, Vec<Vec<Side>>)> {
+        let side = |hw: bool| if hw { Side::Hw } else { Side::Sw };
+        let chain_assignments = (0u32..8)
+            .map(|bits| (0..3).map(|i| side(bits >> i & 1 == 1)).collect())
+            .collect();
+        let mut cases = vec![(
+            DesignSpace::new(chain(), SpaceConfig::default()),
+            chain_assignments,
+        )];
+        let mut rng = StdRng::seed_from_u64(0xB0D);
+        for tasks in [8usize, 16, 32, 64] {
+            for sw_cycles in [(1u64, 16u64), (1, 4_000)] {
+                for invocations in [1u32, 2, 12] {
+                    let graph = random_task_graph(&TgffConfig {
+                        tasks,
+                        sw_cycles,
+                        seed: rng.gen(),
+                        ..TgffConfig::default()
+                    });
+                    let mut assignments = vec![vec![Side::Sw; tasks], vec![Side::Hw; tasks]];
+                    assignments.extend(
+                        (0..8).map(|_| (0..tasks).map(|_| side(rng.gen_bool(0.5))).collect()),
+                    );
+                    let config = SpaceConfig {
+                        invocations,
+                        ..SpaceConfig::default()
+                    };
+                    cases.push((DesignSpace::new(graph, config), assignments));
+                }
+            }
+        }
+        cases
+    }
+
     #[test]
     fn exact_cross_bytes_matches_simulation() {
-        let space = DesignSpace::new(chain(), SpaceConfig::default());
-        for assignment in [
-            vec![Side::Sw, Side::Hw, Side::Sw],
-            vec![Side::Hw, Side::Sw, Side::Hw],
-            vec![Side::Sw; 3],
-            vec![Side::Hw; 3],
-        ] {
-            let simulated = space.evaluate_class(&assignment, AbstractionLevel::Message);
-            assert!(simulated.feasible);
-            assert_eq!(
-                space.exact_cross_bytes(&assignment),
-                simulated.cross_bytes,
-                "analytic traffic diverged for {assignment:?}"
-            );
+        for (space, assignments) in bound_cases() {
+            for assignment in &assignments {
+                for level in AbstractionLevel::ALL {
+                    let simulated = space.evaluate_class(assignment, level);
+                    assert!(simulated.feasible);
+                    assert_eq!(
+                        space.exact_cross_bytes(assignment),
+                        simulated.cross_bytes,
+                        "{}: analytic traffic diverged for {assignment:?}@{level:?}",
+                        space.graph().name()
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn latency_lower_bound_never_exceeds_simulation() {
-        let space = DesignSpace::new(chain(), SpaceConfig::default());
-        for bits in 0u32..8 {
-            let assignment: Vec<Side> = (0..3)
-                .map(|i| {
-                    if bits >> i & 1 == 1 {
-                        Side::Hw
-                    } else {
-                        Side::Sw
-                    }
-                })
-                .collect();
-            for level in [
-                AbstractionLevel::Message,
-                AbstractionLevel::Driver,
-                AbstractionLevel::Register,
-                AbstractionLevel::Pin,
-            ] {
-                let simulated = space.evaluate_class(&assignment, level);
-                let bound = space.latency_lower_bound(&assignment, level);
-                assert!(
-                    bound <= simulated.latency,
-                    "{assignment:?}@{level:?}: bound {bound} > simulated {}",
-                    simulated.latency
-                );
-                assert!(bound > 0, "the bound is never vacuous on a non-empty graph");
+        for (space, assignments) in bound_cases() {
+            for assignment in &assignments {
+                for level in AbstractionLevel::ALL {
+                    let simulated = space.evaluate_class(assignment, level);
+                    let bound = space.latency_lower_bound(assignment, level);
+                    assert!(
+                        bound <= simulated.latency,
+                        "{}: {assignment:?}@{level:?}: bound {bound} > simulated {}",
+                        space.graph().name(),
+                        simulated.latency
+                    );
+                    assert!(bound > 0, "the bound is never vacuous on a non-empty graph");
+                }
             }
         }
     }

@@ -30,7 +30,9 @@
 //! Because the replay runs the identical arithmetic in the identical
 //! order, [`Evaluator::probe_flip`] is *bit-identical* to a full
 //! [`evaluate`] of the flipped partition — a property pinned by the
-//! equivalence proptests. All scratch buffers are owned and reused, so
+//! equivalence proptests. The same holds for a move of several tasks:
+//! [`Evaluator::apply_flips`] commits them all with one replay from the
+//! earliest flipped position. All scratch buffers are owned and reused, so
 //! steady-state probing allocates nothing. Neighborhood scans
 //! ([`Evaluator::best_flip`]) fan out across threads for large graphs
 //! with a deterministic lowest-id tie-break, so results never depend on
@@ -228,7 +230,9 @@ impl Scratch {
 ///   replaying only the schedule suffix after that task — without
 ///   mutating the committed state;
 /// * [`apply_flip`](Self::apply_flip) commits a flip (flips are their own
-///   inverse, so "undo" is applying the same flip again);
+///   inverse, so "undo" is applying the same flip again), and
+///   [`apply_flips`](Self::apply_flips) commits several with one replay
+///   from the earliest flipped position;
 /// * [`best_flip`](Self::best_flip) scans the whole neighborhood, in
 ///   parallel for large graphs, with a deterministic tie-break.
 #[derive(Debug)]
@@ -377,9 +381,31 @@ impl<'a> Evaluator<'a> {
     ///
     /// Panics if `t` is out of range.
     pub fn apply_flip(&mut self, t: TaskId) -> &Evaluation {
-        let s = &mut self.state.sides[t.index()];
-        *s = s.flipped();
-        let from = self.shared.pos_of[t.index()] as usize;
+        self.apply_flips(&[t])
+    }
+
+    /// Commits every listed flip with one schedule replay from the
+    /// earliest position among them. No position before that one sees a
+    /// changed side, so the result is bit-identical to applying the
+    /// flips one at a time, or to a full [`evaluate`] of the new
+    /// partition. A task listed twice flips back; an empty slice commits
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed task is out of range.
+    pub fn apply_flips(&mut self, flips: &[TaskId]) -> &Evaluation {
+        let Some(from) = flips
+            .iter()
+            .map(|t| self.shared.pos_of[t.index()] as usize)
+            .min()
+        else {
+            return &self.state.current;
+        };
+        for t in flips {
+            let s = &mut self.state.sides[t.index()];
+            *s = s.flipped();
+        }
         commit(&self.shared, &mut self.state, &mut self.scratch, from);
         &self.state.current
     }

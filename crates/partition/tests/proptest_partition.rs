@@ -147,12 +147,17 @@ proptest! {
     /// evaluation of the flipped partition, every `apply_flip` leaves the
     /// evaluator's current state equal to a fresh evaluation, and
     /// re-applying the whole sequence in reverse restores the start
-    /// (flips are involutive).
+    /// (flips are involutive). A second evaluator commits the same flips
+    /// in random-size batches, empty ones included, through
+    /// `apply_flips`: after every batch it equals a full evaluation, a
+    /// task listed twice in one batch flips back, and it ends in the
+    /// one-at-a-time evaluator's state.
     #[test]
     fn incremental_matches_full_evaluation(
         g in arb_graph(),
         p in arb_partition(19),
         flips in prop::collection::vec(any::<u64>(), 1..24),
+        batch_sizes in prop::collection::vec(0usize..5, 1..24),
     ) {
         prop_assume!(p.len() >= g.len());
         let start = Partition::from_sides(
@@ -194,6 +199,32 @@ proptest! {
                 &evaluate(&g, &reference, &config).expect("evaluates")
             );
         }
+
+        // The same flips in random-size batches; the last batch holds
+        // whatever is left plus the first task twice.
+        let mut batches: Vec<Vec<TaskId>> = Vec::new();
+        let mut rest = flips.as_slice();
+        for &size in &batch_sizes {
+            let (batch, tail) = rest.split_at(size.min(rest.len()));
+            batches.push(batch.to_vec());
+            rest = tail;
+        }
+        batches.push([rest, &[flips[0], flips[0]]].concat());
+        let mut batched = Evaluator::new(&g, &config, &start).expect("evaluator builds");
+        let mut expected = start.clone();
+        for batch in &batches {
+            for &t in batch {
+                expected.flip(t);
+            }
+            let committed = batched.apply_flips(batch).clone();
+            prop_assert_eq!(&batched.partition(), &expected);
+            prop_assert_eq!(
+                &committed,
+                &evaluate(&g, &expected, &config).expect("evaluates")
+            );
+        }
+        prop_assert_eq!(&batched.partition(), &reference);
+        prop_assert_eq!(batched.current(), ev.current());
 
         // Undoing every flip in reverse restores the starting state.
         for &t in flips.iter().rev() {
