@@ -63,7 +63,7 @@ use codesign_rtl::netlist::{GateKind, NetId, Netlist};
 use codesign_rtl::sim::Simulator;
 use codesign_sim::adapters::FsmdEngine;
 use codesign_sim::engine::{Coordinator, CoordinatorStats, SimEngine};
-use codesign_sim::ladder::{build_cpu, message_scenario, producer_program, LadderConfig};
+use codesign_sim::ladder::{build_cpu, system_network, system_program, LadderConfig};
 use codesign_sim::message::{MessageConfig, MessageEngine};
 use codesign_sim::pinproto::PinPhy;
 use codesign_synth::coproc::{characterize, process_network, Application};
@@ -191,9 +191,13 @@ fn dsp_scenario() -> impl Fn() -> EngineSet {
     }
 }
 
-/// The Figure 7 ladder scenario as a single message-level engine.
+/// The default ladder system's [`system_network`] as a single
+/// message-level engine.
 fn ladder_scenario() -> impl Fn() -> EngineSet {
-    let (net, placement, config) = message_scenario(&LadderConfig::default());
+    let spec = LadderConfig::default()
+        .spec()
+        .expect("the default ladder is valid");
+    let (net, placement, config) = system_network(&spec);
     move || {
         vec![Box::new(
             MessageEngine::new("ladder", net.clone(), placement.clone(), config.clone())
@@ -335,7 +339,7 @@ fn iss_run(iterations: u32) -> u64 {
         ..LadderConfig::default()
     };
     let spec = cfg.spec().expect("a valid ladder config");
-    let program = assemble(&producer_program(&cfg)).expect("producer assembles");
+    let program = assemble(&system_program(&spec)).expect("producer assembles");
     let mut cpu = build_cpu(&spec, &program, false).expect("producer builds");
     let mut timer = Timer::new();
     timer.write(timer_regs::LOAD, 1_000);

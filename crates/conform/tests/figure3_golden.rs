@@ -3,6 +3,7 @@
 //! change to a cycle count, an event count, a state digest or an
 //! observable fails here with the index and the level that moved.
 
+use codesign_conform::observables::check;
 use codesign_conform::runner::run_system;
 use codesign_conform::sweep::{splitmix64, sys_config};
 use codesign_ir::workload::sysgen::random_system;
@@ -74,20 +75,20 @@ fn ladder_configs() -> Vec<LadderConfig> {
 /// `(simulated_cycles, kernel_events)` per level, pin to message, for
 /// each of [`ladder_configs`].
 const LADDER_GOLDEN: &[[(u64, u64); 4]] = &[
-    [(8855, 7892), (8855, 5716), (8960, 32), (8112, 64)],
-    [(11927, 16212), (11927, 7252), (11600, 32), (8448, 64)],
-    [(24215, 47540), (24215, 13396), (22160, 32), (12852, 64)],
-    [(73367, 180274), (73367, 37972), (64400, 32), (49908, 64)],
-    [(11927, 16212), (11927, 7252), (11440, 32), (8288, 64)],
-    [(2261, 3049), (2261, 1363), (2411, 6), (1820, 12)],
-    [(12400, 16106), (12280, 7252), (12048, 32), (10756, 64)],
-    [(12768, 16138), (12768, 7294), (12176, 32), (12804, 64)],
-    [(2987, 4056), (2987, 1816), (3044, 8), (2256, 16)],
-    [(23847, 32426), (23847, 14500), (23008, 64), (16704, 128)],
-    [(2960, 2676), (2960, 1829), (3050, 10), (2725, 20)],
-    [(3671, 4520), (3671, 2268), (3704, 16), (2896, 32)],
-    [(81415, 102273), (81415, 50052), (79236, 256), (60164, 512)],
-    [(81671, 87684), (81671, 51588), (80976, 256), (68048, 512)],
+    [(8917, 7923), (8917, 5747), (8960, 32), (8112, 64)],
+    [(11989, 16243), (11989, 7283), (11600, 32), (8448, 64)],
+    [(24277, 47571), (24277, 13427), (22160, 32), (12852, 64)],
+    [(73429, 180305), (73429, 38003), (64400, 32), (49908, 64)],
+    [(11989, 16243), (11989, 7283), (11440, 32), (8288, 64)],
+    [(2261, 3046), (2261, 1368), (2411, 6), (1820, 12)],
+    [(12440, 16101), (12360, 7283), (12048, 32), (10756, 64)],
+    [(12768, 16115), (12768, 7298), (12176, 32), (12804, 64)],
+    [(3001, 4063), (3001, 1823), (3044, 8), (2256, 16)],
+    [(23973, 32483), (23973, 14563), (23008, 64), (16704, 128)],
+    [(2960, 2685), (2960, 1838), (3050, 10), (2725, 20)],
+    [(3701, 4537), (3701, 2283), (3704, 16), (2896, 32)],
+    [(81925, 102532), (81925, 50307), (79236, 256), (60164, 512)],
+    [(82181, 87937), (82181, 51843), (80976, 256), (68048, 512)],
 ];
 
 /// One line per sweep index: each level's cycles, kernel events, state
@@ -189,6 +190,31 @@ fn ladder_levels_match_the_recorded_numbers() {
         .enumerate()
     {
         assert_eq!(got, want, "ladder config {i}: {cfg:?}");
+    }
+}
+
+#[test]
+fn ladder_levels_are_the_conformance_realization_and_conform() {
+    // The E3 ladder is its spec realized through the conformance
+    // runner: every level agrees number for number, and the run passes
+    // the same observable and cycle-bound checks as a generated system.
+    for (i, cfg) in ladder_configs().iter().enumerate() {
+        let spec = cfg.spec().unwrap();
+        let run = run_system(&spec).unwrap();
+        for (level, realized) in AbstractionLevel::ALL.into_iter().zip(run.levels()) {
+            let r = run_level(level, cfg).unwrap();
+            assert_eq!(realized.level, level);
+            assert_eq!(
+                (r.simulated_cycles, r.kernel_events),
+                (realized.cycles, realized.kernel_events),
+                "ladder config {i} {level}: {cfg:?}"
+            );
+        }
+        let divergences = check(&spec, &run);
+        assert!(
+            divergences.is_empty(),
+            "ladder config {i}: {cfg:?} diverges: {divergences:?}"
+        );
     }
 }
 

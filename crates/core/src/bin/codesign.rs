@@ -59,7 +59,7 @@ USAGE:
       as machine-readable JSON instead of the table.
 
   codesign explore <spec.cds> [--budget N] [--threads N] [--seed N]
-                   [--workers N] [--depth N] [--eval delta|full]
+                   [--workers N] [--eval delta|full]
                    [--cache-file FILE]
                    [--objective perf|cost|concurrency] [--deadline N]
                    [--sharing] [--json] [--out FILE] [--trace FILE]
@@ -74,7 +74,7 @@ USAGE:
       (assignment, level) class. `--eval full` keeps the one-sim-per-
       point oracle. Evaluations are memoized in a sharded content-
       addressed cache and pipelined over a persistent pool of
-      `--threads` evaluators (`--depth` rounds deep), and survivors land
+      `--threads` evaluators (one round deep), and survivors land
       in a Pareto archive. `--cache-file` warm-starts from (and appends
       new evaluations to) a persistent cache file. The archive is byte-
       identical for any `--threads` and either `--eval` mode, cold or
@@ -376,7 +376,6 @@ fn cmd_explore(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         budget: parsed_flag(args, "--budget")?.unwrap_or(256),
         threads: parsed_flag::<usize>(args, "--threads")?.unwrap_or(1).max(1),
         workers: parsed_flag::<usize>(args, "--workers")?.unwrap_or(8).max(1),
-        pipeline_depth: parsed_flag::<usize>(args, "--depth")?.unwrap_or(1),
         eval_mode,
         ..ExploreConfig::default()
     };
@@ -658,7 +657,7 @@ fn cmd_debug(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     use codesign::isa::asm::assemble;
     use codesign::sim::adapters::CpuEngine;
     use codesign::sim::engine::Coordinator;
-    use codesign::sim::ladder::{build_cpu, producer_program};
+    use codesign::sim::ladder::{build_cpu, system_program};
 
     let addr = flag_value(args, "--gdb")
         .ok_or("missing --gdb HOST:PORT (e.g. `codesign debug --gdb 127.0.0.1:3333`)")?;
@@ -671,7 +670,8 @@ fn cmd_debug(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         ..LadderConfig::default()
     };
 
-    let cpu = build_cpu(&cfg.spec()?, &assemble(&producer_program(&cfg))?, pin)?;
+    let spec = cfg.spec()?;
+    let cpu = build_cpu(&spec, &assemble(&system_program(&spec))?, pin)?;
     let mut coord = Coordinator::lockstep(quantum);
     coord.add_engine(Box::new(CpuEngine::new("cpu", cpu)));
 

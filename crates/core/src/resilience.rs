@@ -39,7 +39,7 @@ use codesign_sim::adapters::{CpuEngine, FsmdEngine};
 use codesign_sim::engine::{Coordinator, RetryPolicy};
 use codesign_sim::error::SimError;
 use codesign_sim::fingerprint::coordinator_fingerprint;
-use codesign_sim::ladder::{message_scenario, producer_program, LadderConfig};
+use codesign_sim::ladder::{system_network, system_program, LadderConfig};
 use codesign_sim::message::{MessageConfig, MessageEngine};
 use codesign_synth::coproc::{characterize, Application};
 use codesign_synth::mthread::placement_for;
@@ -133,7 +133,10 @@ fn build_ladder_message(
     injector: &SharedInjector,
     lockstep: bool,
 ) -> Coordinator {
-    let (net, placement, config) = message_scenario(&LadderConfig::default());
+    let spec = LadderConfig::default()
+        .spec()
+        .expect("the default ladder is valid");
+    let (net, placement, config) = system_network(&spec);
     let mut engine =
         MessageEngine::new("ladder", net, placement, config).expect("ladder placement is valid");
     engine.set_faults(Box::new(MessageFaultHook::new(plan, injector.clone())));
@@ -166,7 +169,8 @@ fn build_ladder_register(
         *plan,
         injector.clone(),
     )));
-    let program = assemble(&producer_program(&cfg)).expect("producer program assembles");
+    let spec = cfg.spec().expect("the default ladder is valid");
+    let program = assemble(&system_program(&spec)).expect("producer program assembles");
     let mut cpu = Cpu::new(4096);
     cpu.attach_bus(bus);
     cpu.load_program(&program);

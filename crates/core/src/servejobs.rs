@@ -212,8 +212,8 @@ fn cosim_placement(
 /// # Errors
 ///
 /// Returns a typed [`JobError`]: `bad_field` for an unknown process
-/// name, otherwise the fault taxonomy's code for the underlying
-/// simulation failure.
+/// name or a zero quantum, otherwise the fault taxonomy's code for the
+/// underlying simulation failure.
 pub fn run_cosim(
     net: &codesign_ir::process::ProcessNetwork,
     params: &CosimParams,
@@ -254,6 +254,12 @@ pub fn run_cosim_sliced(
     resume: Option<&[u8]>,
     slice: Option<std::time::Duration>,
 ) -> Result<CosimProgress, JobError> {
+    if params.quantum == 0 {
+        return Err(JobError::permanent(
+            "bad_field",
+            "`quantum` must be positive",
+        ));
+    }
     let (hw_names, report, placement) = cosim_placement(net, params, tracer)?;
 
     let sim_cfg = MessageConfig::default();

@@ -21,7 +21,7 @@
 //!    [`ExploreConfig::dedup_retries`] times, counted as
 //!    `dedup_skips`), so offers stop drowning in revisits. The snapshot
 //!    for round `r` is the archive after the merge of round
-//!    `r - 1 - pipeline_depth`: lagging the snapshot by a fixed depth
+//!    `r - 1 - PIPELINE_DEPTH`: lagging the snapshot by a fixed depth
 //!    is what lets generation of round `r` overlap evaluation of the
 //!    rounds still in flight without the outcome depending on timing.
 //!    Adding OS threads cannot change what gets generated.
@@ -122,6 +122,13 @@ const QUANTA: [u64; 5] = [4, 8, 16, 32, 64];
 /// Interface abstraction levels candidates choose from.
 const LEVELS: [AbstractionLevel; 4] = AbstractionLevel::ALL;
 
+/// Rounds generated ahead of the merge frontier. Round `r` mutates the
+/// archive as of round `r - 1 - PIPELINE_DEPTH`, so generation of one
+/// round overlaps evaluation of the one before it. Part of the
+/// experiment definition (it picks the snapshot each round sees), and
+/// recorded in every report.
+const PIPELINE_DEPTH: usize = 1;
+
 /// Executor parameters. `threads` is the only knob that may legally
 /// vary between two runs expected to produce identical output.
 #[derive(Debug, Clone)]
@@ -136,12 +143,6 @@ pub struct ExploreConfig {
     /// Logical generator streams per round. Part of the experiment
     /// definition: changing it changes the candidate sequence.
     pub workers: usize,
-    /// Rounds generated ahead of the merge frontier. Round `r` mutates
-    /// the archive as of round `r - 1 - pipeline_depth`, so depth ≥ 1
-    /// overlaps generation with evaluation. Part of the experiment
-    /// definition (it changes which snapshot each round sees), but —
-    /// like every knob except `threads` — never thread-dependent.
-    pub pipeline_depth: usize,
     /// Consult the memo cache (off only for the equivalence proptest
     /// and for measuring the cache's worth).
     pub use_cache: bool,
@@ -161,7 +162,6 @@ impl Default for ExploreConfig {
             budget: 256,
             threads: 1,
             workers: 8,
-            pipeline_depth: 1,
             use_cache: true,
             eval_mode: EvalMode::Delta,
             dedup_retries: 16,
@@ -531,8 +531,7 @@ fn run_pipeline(
     loop {
         // Merge until the pipeline has room — and drain it entirely
         // once the budget is spent. Strictly in round order.
-        while inflight.len() > cfg.pipeline_depth || (offered >= cfg.budget && !inflight.is_empty())
-        {
+        while inflight.len() > PIPELINE_DEPTH || (offered >= cfg.budget && !inflight.is_empty()) {
             let round = inflight.pop_front().expect("inflight round");
             let (scores, ns) = match &round.batch {
                 Some(batch) => batch.join(space),
@@ -936,7 +935,7 @@ impl ExploreOutcome {
         out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
         out.push_str(&format!("  \"budget\": {},\n", cfg.budget));
         out.push_str(&format!("  \"workers\": {},\n", cfg.workers));
-        out.push_str(&format!("  \"pipeline_depth\": {},\n", cfg.pipeline_depth));
+        out.push_str(&format!("  \"pipeline_depth\": {PIPELINE_DEPTH},\n"));
         out.push_str(&format!("  \"cache\": {},\n", cfg.use_cache));
         out.push_str(&format!(
             "  \"eval_mode\": \"{}\",\n",
@@ -1047,32 +1046,6 @@ mod tests {
             pool.report_json(&space, &small_cfg(8)),
             "reports must be byte-identical across thread counts"
         );
-    }
-
-    #[test]
-    fn pipeline_depth_zero_and_deep_are_each_thread_invariant() {
-        let space = space();
-        for depth in [0usize, 2, 5] {
-            let cfg = ExploreConfig {
-                pipeline_depth: depth,
-                ..small_cfg(1)
-            };
-            let solo = explore(&space, &cfg, &Tracer::off());
-            let pool = explore(
-                &space,
-                &ExploreConfig {
-                    threads: 4,
-                    ..cfg.clone()
-                },
-                &Tracer::off(),
-            );
-            assert_eq!(solo.stats, pool.stats, "depth {depth}");
-            assert_eq!(
-                solo.report_json(&space, &cfg),
-                pool.report_json(&space, &cfg),
-                "depth {depth}: reports must be byte-identical across thread counts"
-            );
-        }
     }
 
     #[test]
@@ -1194,15 +1167,14 @@ mod tests {
     #[test]
     fn odd_budgets_and_workers_drain_cleanly() {
         let space = space();
-        for (budget, workers, depth) in [(1u64, 8, 3), (7, 3, 1), (53, 5, 2)] {
+        for (budget, workers) in [(1u64, 8), (7, 3), (53, 5)] {
             let cfg = ExploreConfig {
                 budget,
                 workers,
-                pipeline_depth: depth,
                 ..small_cfg(3)
             };
             let out = explore(&space, &cfg, &Tracer::off());
-            assert_eq!(out.stats.offered, budget, "workers={workers} depth={depth}");
+            assert_eq!(out.stats.offered, budget, "workers={workers}");
             assert_eq!(
                 out.stats.rounds,
                 budget.div_ceil(workers as u64),

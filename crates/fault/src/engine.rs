@@ -82,12 +82,6 @@ impl FaultyEngine {
         self.inner.as_ref()
     }
 
-    /// Whether the engine has wedged permanently.
-    #[must_use]
-    pub fn is_stalled(&self) -> bool {
-        self.stalled
-    }
-
     fn wedge(&mut self) {
         self.stalled = true;
         self.injector.borrow_mut().record(

@@ -397,16 +397,6 @@ impl TaskGraph {
         &self.tasks[id.index()]
     }
 
-    /// Mutable access to the task with the given id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to this graph.
-    #[must_use]
-    pub fn task_mut(&mut self, id: TaskId) -> &mut Task {
-        &mut self.tasks[id.index()]
-    }
-
     /// Iterates over `(id, task)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TaskId, &Task)> {
         self.tasks

@@ -11,8 +11,8 @@ use codesign_rtl::bus::BusTiming;
 use codesign_sim::adapters::CpuEngine;
 use codesign_sim::engine::Coordinator;
 use codesign_sim::error::SimError;
-use codesign_sim::ladder::{build_cpu, producer_program, DriverEngine};
-use common::{ladder_cfg, QUANTUM};
+use codesign_sim::ladder::{build_cpu, system_program, DriverEngine};
+use common::{ladder_spec, QUANTUM};
 
 const CADENCE: u64 = 8;
 
@@ -21,7 +21,7 @@ const CADENCE: u64 = 8;
 /// twin never finishes and bisection bounds it by `max_rounds` instead.
 fn driver_run(stall_at: Option<u64>) -> Result<(Coordinator, Option<SharedInjector>), SimError> {
     let injector = shared(11);
-    let driver = DriverEngine::new("driver", ladder_cfg());
+    let driver = DriverEngine::new("driver", &ladder_spec());
     let mut eng = FaultyEngine::new(Box::new(driver), injector.clone(), 0.0, 0.0);
     if let Some(t) = stall_at {
         eng = eng.with_stall_at(t);
@@ -58,10 +58,10 @@ fn deterministic_stall_is_bisected_to_the_exact_round() {
 /// carries a quiet plan with the same seed, so the structures (and
 /// serialized shapes) are identical.
 fn register_run(plan: FaultPlan) -> Result<(Coordinator, Option<SharedInjector>), SimError> {
-    let cfg = ladder_cfg();
+    let spec = ladder_spec();
     let injector = shared(5);
-    let program = assemble(&producer_program(&cfg))?;
-    let mut cpu = build_cpu(&cfg.spec()?, &program, false)?;
+    let program = assemble(&system_program(&spec))?;
+    let mut cpu = build_cpu(&spec, &program, false)?;
     cpu.bus_mut()
         .expect("bus attached")
         .set_phy(Box::new(FaultyPhy::new(

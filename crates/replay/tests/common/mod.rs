@@ -6,27 +6,30 @@
 #![allow(dead_code)]
 
 use codesign_fault::SharedInjector;
+use codesign_ir::workload::sysgen::SystemSpec;
 use codesign_isa::asm::assemble;
 use codesign_sim::adapters::CpuEngine;
 use codesign_sim::engine::Coordinator;
-use codesign_sim::ladder::{
-    build_cpu, message_scenario, producer_program, DriverEngine, LadderConfig,
-};
+use codesign_sim::ladder::{build_cpu, system_network, system_program, DriverEngine, LadderConfig};
 use codesign_sim::message::MessageEngine;
 
 pub const QUANTUM: u64 = 16;
 
-pub fn ladder_cfg() -> LadderConfig {
+/// The ladder system every level realizes: three iterations of the
+/// default E3 producer/consumer.
+pub fn ladder_spec() -> SystemSpec {
     LadderConfig {
         iterations: 3,
         ..LadderConfig::default()
     }
+    .spec()
+    .unwrap()
 }
 
 fn iss_level(pin: bool) -> (Coordinator, Option<SharedInjector>) {
-    let cfg = ladder_cfg();
-    let program = assemble(&producer_program(&cfg)).unwrap();
-    let cpu = build_cpu(&cfg.spec().unwrap(), &program, pin).unwrap();
+    let spec = ladder_spec();
+    let program = assemble(&system_program(&spec)).unwrap();
+    let cpu = build_cpu(&spec, &program, pin).unwrap();
     let mut coord = Coordinator::lockstep(QUANTUM);
     coord.add_engine(Box::new(CpuEngine::new("cpu", cpu)));
     (coord, None)
@@ -40,11 +43,11 @@ pub fn build_level(idx: usize) -> (Coordinator, Option<SharedInjector>) {
         1 => iss_level(false),
         2 => {
             let mut coord = Coordinator::lockstep(QUANTUM);
-            coord.add_engine(Box::new(DriverEngine::new("driver", ladder_cfg())));
+            coord.add_engine(Box::new(DriverEngine::new("driver", &ladder_spec())));
             (coord, None)
         }
         3 => {
-            let (net, placement, config) = message_scenario(&ladder_cfg());
+            let (net, placement, config) = system_network(&ladder_spec());
             let engine = MessageEngine::new("ladder", net, placement, config).unwrap();
             let mut coord = Coordinator::lockstep(QUANTUM);
             coord.add_engine(Box::new(engine));

@@ -54,10 +54,10 @@ fn hex_u64_le(v: u64) -> String {
     v.to_le_bytes().iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// In `producer_program`, instruction 3 is the `outer:` loop head and
-/// instruction 10 is the `sw` that pushes into the FIFO's DATA register
-/// at bus address `MMIO_BASE + 0x0 = 0x8000_0000`.
-const OUTER_PC: u64 = 3;
+/// In the ladder's `system_program`, instruction 1 is the `outer:` loop
+/// head and instruction 10 is the `sw` that pushes into the FIFO's DATA
+/// register at bus address `MMIO_BASE + 0x0 = 0x8000_0000`.
+const OUTER_PC: u64 = 1;
 const WATCH_ADDR: u64 = 0x8000_0000;
 
 /// Spawns the server thread; the debug session is *built inside it*

@@ -149,12 +149,12 @@ impl FpgaFabric {
                 ),
             });
         }
+        let latency = self.reconfig_latency(bitstream.luts);
         let r = &mut self.regions[region];
         if r.loaded.as_ref() == Some(&bitstream) {
             return Ok(now.max(r.ready_at));
         }
         let start = now.max(r.ready_at);
-        let latency = u64::from(bitstream.luts) * self.reconfig_cycles_per_lut;
         r.ready_at = start + latency;
         r.loaded = Some(bitstream);
         self.stats.reconfigurations += 1;

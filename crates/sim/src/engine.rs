@@ -247,12 +247,6 @@ impl Coordinator {
         c
     }
 
-    /// Enables or disables lookahead (enabled by default; see
-    /// [`Coordinator::lockstep`]).
-    pub fn set_lookahead(&mut self, enabled: bool) {
-        self.lookahead = enabled;
-    }
-
     /// Whether lookahead leaping is enabled.
     #[must_use]
     pub fn lookahead(&self) -> bool {

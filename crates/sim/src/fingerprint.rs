@@ -75,7 +75,8 @@ mod tests {
     #[test]
     fn fingerprint_covers_every_engine_kind() {
         let mut coord = Coordinator::lockstep(16);
-        coord.add_engine(Box::new(DriverEngine::new("drv", LadderConfig::default())));
+        let spec = LadderConfig::default().spec().unwrap();
+        coord.add_engine(Box::new(DriverEngine::new("drv", &spec)));
         let stats = coord.run(u64::MAX).unwrap();
         let fp = coordinator_fingerprint(&coord, stats.time);
         assert!(fp.starts_with(&format!("t={};", stats.time)), "{fp}");

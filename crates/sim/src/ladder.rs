@@ -6,17 +6,17 @@
 //!
 //! | level | HW/SW interaction modeled as | realization |
 //! |---|---|---|
-//! | [`AbstractionLevel::Pin`] | bus pin activity | [`realize_iss`]: ISS + gate-level [`crate::pinproto::PinPhy`] |
-//! | [`AbstractionLevel::Register`] | register reads/writes | [`realize_iss`]: ISS + transaction-level bus |
-//! | [`AbstractionLevel::Driver`] | device-driver calls | [`realize_driver`]: closed-form driver cost model |
-//! | [`AbstractionLevel::Message`] | `send`/`receive`/`wait` | [`realize_message`]: [`crate::message`] rendezvous kernel |
+//! | [`AbstractionLevel::Pin`] | bus pin activity | [`realize_iss`]: [`system_program`] on the ISS + gate-level [`crate::pinproto::PinPhy`] |
+//! | [`AbstractionLevel::Register`] | register reads/writes | [`realize_iss`]: [`system_program`] on the ISS + transaction-level bus |
+//! | [`AbstractionLevel::Driver`] | device-driver calls | [`realize_driver`]: the [`DriverEngine`] cost model run to completion |
+//! | [`AbstractionLevel::Message`] | `send`/`receive`/`wait` | [`realize_message`]: [`system_network`] on the [`crate::message`] rendezvous kernel |
 //!
-//! The ISS levels run a CR32 program and the message level a process
-//! network; both are inputs, because the two users of the ladder supply
-//! their own. The E3 experiment is [`LadderConfig::spec`] — one FIFO, one
-//! channel, no UART — realized with [`producer_program`] and
-//! [`message_scenario`]; `codesign-conform` realizes generated specs with
-//! its conformance program and network.
+//! One program generator, one process-network builder and one driver
+//! model serve every system. [`realize_system`] realizes a spec at all
+//! four levels; it is what `codesign-conform` checks generated specs
+//! with. The E3 experiment ([`run_level`], [`run_ladder`]) is
+//! [`LadderConfig::spec`] — one FIFO, one channel, no UART — realized
+//! through the same functions.
 //!
 //! Each level reports simulated cycles and kernel events (the
 //! computational cost of simulating). The paper's predicted shape:
@@ -25,6 +25,7 @@
 //! expensive"), message-level is "very efficient computationally, but may
 //! not be useful for evaluating performance".
 
+use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use codesign_ir::process::{Action, Process, ProcessNetwork};
@@ -32,7 +33,7 @@ use codesign_ir::workload::sysgen::{ChannelSpec, DeviceKind, MemRegion, SystemSp
 use codesign_isa::asm::{assemble, Program};
 use codesign_isa::cpu::{Cpu, MMIO_BASE};
 use codesign_rtl::bus::{
-    fifo_regs, BusSlave, BusTiming, DrainFifo, Gpio, Ram, SystemBus, Timer, Uart,
+    fifo_regs, uart_regs, BusSlave, BusTiming, DrainFifo, Gpio, Ram, SystemBus, Timer, Uart,
 };
 use codesign_rtl::state::{StateReader, StateWriter};
 use codesign_rtl::RtlError;
@@ -107,14 +108,8 @@ impl Default for LadderConfig {
 }
 
 impl LadderConfig {
-    /// Words per message on the 32-bit bus.
-    #[must_use]
-    pub fn words(&self) -> u64 {
-        self.message_bytes.div_ceil(4)
-    }
-
-    /// The scenario as a system: one FIFO region at `0x0`, one channel,
-    /// no UART.
+    /// The scenario as a system: one FIFO region at `0x0`, one channel
+    /// carrying each message as whole 32-bit words, no UART.
     ///
     /// # Errors
     ///
@@ -133,7 +128,7 @@ impl LadderConfig {
             }],
             channels: vec![ChannelSpec {
                 region: 0,
-                words: self.words(),
+                words: self.message_bytes.div_ceil(4),
                 compute: self.compute_cycles,
                 hw_unit: 0,
             }],
@@ -219,41 +214,79 @@ impl SystemRun {
     }
 }
 
-/// The producer driver program shared by the pin and register levels
-/// (public so fault campaigns can rerun the same software against an
-/// instrumented bus).
+/// The spec's UART region (base, preloaded rx bytes), if wired.
+fn uart_of(spec: &SystemSpec) -> Option<(u32, &[u8])> {
+    spec.regions.iter().find_map(|r| match &r.kind {
+        DeviceKind::Uart { irq_rx } if !irq_rx.is_empty() => Some((r.base, irq_rx.as_slice())),
+        _ => None,
+    })
+}
+
+/// The CR32 producer program realizing a validated `spec` at the ISS
+/// levels (public so fault campaigns, the debugger and the benchmarks can
+/// rerun the same software against an instrumented bus).
+///
+/// Shape: (1) if a UART is wired, enable its rx interrupt and spin until
+/// the handler has drained every preloaded byte (the count, not the
+/// timing, is architected); (2) for each outer iteration, per channel:
+/// spin the channel's compute, then push its words through the FIFO with
+/// occupancy polling; (3) normalize the poll scratch register and halt.
+/// The handler accumulates a byte checksum in `r11`, so the IRQ payload
+/// reaches the architectural-state digest.
+///
+/// The program is *timing-closed in its final state*: the only register
+/// that can legitimately differ between the pin and register levels (the
+/// FIFO-occupancy poll scratch `r5`) is zeroed before `halt`, so the
+/// final architectural state is an architected observable.
 #[must_use]
-pub fn producer_program(cfg: &LadderConfig) -> String {
-    format!(
-        "    li r1, {base}\n\
-         \x20   li r7, {iters}\n\
-         \x20   li r6, {cap}\n\
-         outer:\n\
-         \x20   li r2, {spins}\n\
-         spin:\n\
-         \x20   addi r2, r2, -1\n\
-         \x20   bne r2, r0, spin\n\
-         \x20   li r3, {words}\n\
-         \x20   li r4, 0x5A5A\n\
-         wloop:\n\
-         poll:\n\
-         \x20   lw r5, r1, {count_reg}\n\
-         \x20   bge r5, r6, poll\n\
-         \x20   sw r4, r1, {data_reg}\n\
-         \x20   add r4, r4, r3\n\
-         \x20   addi r3, r3, -1\n\
-         \x20   bne r3, r0, wloop\n\
-         \x20   addi r7, r7, -1\n\
-         \x20   bne r7, r0, outer\n\
-         \x20   halt\n",
-        base = MMIO_BASE,
-        iters = cfg.iterations,
-        cap = cfg.fifo_capacity,
-        spins = (cfg.compute_cycles / 3).max(1),
-        words = cfg.words(),
-        count_reg = fifo_regs::COUNT,
-        data_reg = fifo_regs::DATA,
-    )
+pub fn system_program(spec: &SystemSpec) -> String {
+    let mut s = String::new();
+    let uart = uart_of(spec);
+    if uart.is_some() {
+        s.push_str(".vector isr\n");
+    }
+    if let Some((base, rx)) = uart {
+        let _ = writeln!(s, "    li r1, {}", MMIO_BASE + u64::from(base));
+        s.push_str("    li r2, 1\n");
+        let _ = writeln!(s, "    sw r2, r1, {}", uart_regs::IRQ_ENABLE);
+        let _ = writeln!(s, "    li r8, {}", rx.len());
+        s.push_str("    ei\nirqwait:\n    bne r9, r8, irqwait\n    di\n");
+    }
+    let _ = writeln!(s, "    li r7, {}", spec.iterations);
+    s.push_str("outer:\n");
+    for (ci, ch) in spec.channels.iter().enumerate() {
+        if ch.compute > 0 {
+            let _ = writeln!(s, "    li r2, {}", (ch.compute / 3).max(1));
+            let _ = writeln!(
+                s,
+                "spin{ci}:\n    addi r2, r2, -1\n    bne r2, r0, spin{ci}"
+            );
+        }
+        let region = &spec.regions[ch.region];
+        let DeviceKind::Fifo { capacity, .. } = region.kind else {
+            unreachable!("validated: channel regions are fifos");
+        };
+        let _ = writeln!(s, "    li r1, {}", MMIO_BASE + u64::from(region.base));
+        let _ = writeln!(s, "    li r6, {capacity}");
+        let _ = writeln!(s, "    li r3, {}", ch.words);
+        let _ = writeln!(s, "    li r4, {}", 0x5A5A + ci);
+        let _ = writeln!(s, "w{ci}:\npoll{ci}:");
+        let _ = writeln!(s, "    lw r5, r1, {}", fifo_regs::COUNT);
+        let _ = writeln!(s, "    bge r5, r6, poll{ci}");
+        let _ = writeln!(s, "    sw r4, r1, {}", fifo_regs::DATA);
+        s.push_str("    add r4, r4, r3\n    addi r3, r3, -1\n");
+        let _ = writeln!(s, "    bne r3, r0, w{ci}");
+    }
+    s.push_str("    addi r7, r7, -1\n    bne r7, r0, outer\n");
+    // Normalize the only timing-dependent register before halting, so
+    // the final state digests agree across levels.
+    s.push_str("    li r5, 0\n    halt\n");
+    if let Some((base, _)) = uart {
+        let _ = writeln!(s, "isr:\n    li r12, {}", MMIO_BASE + u64::from(base));
+        let _ = writeln!(s, "    lw r10, r12, {}", uart_regs::RX);
+        s.push_str("    add r11, r11, r10\n    addi r9, r9, 1\n    rti\n");
+    }
+    s
 }
 
 /// Builds the CR32 that realizes `spec` at an ISS level: the spec's
@@ -383,35 +416,16 @@ pub fn realize_iss(
     })
 }
 
-/// Realizes `spec` at the driver level: every channel's compute and one
-/// driver call per message ([`DRIVER_CALL_OVERHEAD`] plus
-/// [`DRIVER_PER_WORD`] per word), [`DRIVER_IRQ_COST`] per interrupt, and
-/// the tail drain of the slowest channel's final message. The model does
-/// not see FIFO back-pressure at all. Two kernel events per driver call
-/// (its compute step and the call) and one per interrupt.
+/// Realizes `spec` at the driver level: runs its [`DriverEngine`] to
+/// completion, the way [`message::simulate`] runs a
+/// [`message::MessageEngine`].
 #[must_use]
 pub fn realize_driver(spec: &SystemSpec) -> LevelRun {
-    let irqs = spec.irq_count();
-    let mut time = irqs * DRIVER_IRQ_COST;
-    let mut events = irqs;
-    for _ in 0..spec.iterations {
-        for ch in &spec.channels {
-            time += ch.compute + DRIVER_CALL_OVERHEAD + ch.words * DRIVER_PER_WORD;
-            events += 2;
-        }
-    }
-    time += spec
-        .channels
-        .iter()
-        .filter_map(|ch| match spec.regions[ch.region].kind {
-            DeviceKind::Fifo { drain_period, .. } => Some(ch.words * drain_period),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0);
+    let mut engine = DriverEngine::new("driver", spec);
+    engine.run_until(u64::MAX);
     LevelRun {
         level: AbstractionLevel::Driver,
-        cycles: time,
+        cycles: engine.time,
         per_channel_bytes: (0..spec.channels.len())
             .map(|c| spec.channel_bytes(c))
             .collect(),
@@ -419,42 +433,70 @@ pub fn realize_driver(spec: &SystemSpec) -> LevelRun {
         digest: None,
         write_order: None,
         messages: None,
-        kernel_events: events,
+        kernel_events: engine.events,
     }
 }
 
-/// The driver-level cost model as a coordinator-mountable engine.
+/// The driver-level cost model of a system, as a coordinator-mountable
+/// phase machine. It charges one segment at a time, in this order:
 ///
-/// [`realize_driver`] collapses the whole scenario into one closed-form
-/// loop; this engine unrolls the same arithmetic into a phase machine
-/// (compute → driver call, iterated, then the tail drain) so the driver
-/// level can ride under a [`Coordinator`](crate::engine::Coordinator) —
-/// and thus be checkpointed, fingerprinted, and replayed like the other
-/// ladder levels. Its final local time equals `realize_driver`'s cycles
-/// on [`LadderConfig::spec`] and its event count matches (two per
-/// iteration, none for the tail).
+/// 1. the interrupt service: [`DRIVER_IRQ_COST`] per interrupt, one
+///    kernel event each;
+/// 2. on every iteration, every channel in spec order: its compute (one
+///    event), then one driver call — [`DRIVER_CALL_OVERHEAD`] plus
+///    [`DRIVER_PER_WORD`] per word (one event);
+/// 3. the tail drain of the slowest FIFO's final message (no event).
+///
+/// The model does not see FIFO back-pressure at all. [`realize_driver`]
+/// runs it to completion; under a
+/// [`Coordinator`](crate::engine::Coordinator) it is checkpointed,
+/// fingerprinted, and replayed like the other ladder levels.
 #[derive(Debug)]
 pub struct DriverEngine {
     name: String,
-    cfg: LadderConfig,
-    /// Iterations fully completed (compute + driver call both charged).
-    iter: u32,
-    /// 0 = compute, 1 = driver call, 2 = tail drain, 3 = done.
-    phase: u8,
+    /// Interrupts serviced before the first iteration.
+    irqs: u64,
+    /// Per channel, in spec order: (compute cycles, driver-call cycles).
+    channels: Vec<(u64, u64)>,
+    iterations: u32,
+    /// Drain cycles of the slowest FIFO's final message.
+    tail: u64,
+    /// Segments charged so far, counted in the order above.
+    charged: u64,
     time: u64,
     floor: u64,
     events: u64,
 }
 
 impl DriverEngine {
-    /// Builds the engine over the scenario.
+    /// Builds the engine over `spec`.
     #[must_use]
-    pub fn new(name: impl Into<String>, cfg: LadderConfig) -> Self {
+    pub fn new(name: impl Into<String>, spec: &SystemSpec) -> Self {
+        let drain_period = |region: usize| match spec.regions.get(region).map(|r| &r.kind) {
+            Some(DeviceKind::Fifo { drain_period, .. }) => Some(*drain_period),
+            _ => None,
+        };
         DriverEngine {
             name: name.into(),
-            cfg,
-            iter: 0,
-            phase: 0,
+            irqs: spec.irq_count(),
+            channels: spec
+                .channels
+                .iter()
+                .map(|ch| {
+                    (
+                        ch.compute,
+                        DRIVER_CALL_OVERHEAD + ch.words * DRIVER_PER_WORD,
+                    )
+                })
+                .collect(),
+            iterations: spec.iterations,
+            tail: spec
+                .channels
+                .iter()
+                .filter_map(|ch| Some(ch.words * drain_period(ch.region)?))
+                .max()
+                .unwrap_or(0),
+            charged: 0,
             time: 0,
             floor: 0,
             events: 0,
@@ -473,47 +515,48 @@ impl DriverEngine {
         self.time
     }
 
-    /// Producer iterations fully completed.
+    /// Iterations fully completed (every channel's compute and driver
+    /// call charged).
     #[must_use]
     pub fn iterations_done(&self) -> u32 {
-        self.iter
+        let per_iteration = 2 * self.channels.len() as u64;
+        let done = self.charged.saturating_sub(self.irqs).min(self.calls());
+        u32::try_from(done / per_iteration.max(1)).unwrap_or(u32::MAX)
     }
 
-    /// End time of the segment the phase machine would charge next.
-    fn segment_end(&self) -> u64 {
-        match self.phase {
-            0 => self.time + self.cfg.compute_cycles,
-            1 => self.time + DRIVER_CALL_OVERHEAD + self.cfg.words() * DRIVER_PER_WORD,
-            2 => self.time + self.cfg.words() * self.cfg.drain_period,
-            _ => u64::MAX,
+    /// Compute and driver-call segments over the whole run.
+    fn calls(&self) -> u64 {
+        2 * u64::from(self.iterations) * self.channels.len() as u64
+    }
+
+    /// Every segment of the run, the tail included.
+    fn segments(&self) -> u64 {
+        self.irqs + self.calls() + 1
+    }
+
+    /// The next segment's cycles and kernel events; `None` once done.
+    fn next_segment(&self) -> Option<(u64, u64)> {
+        let Some(k) = self.charged.checked_sub(self.irqs) else {
+            return Some((DRIVER_IRQ_COST, 1));
+        };
+        if k < self.calls() {
+            let (compute, call) = self.channels[(k / 2) as usize % self.channels.len()];
+            return Some((if k % 2 == 0 { compute } else { call }, 1));
         }
+        (k == self.calls()).then_some((self.tail, 0))
     }
 
-    /// Charges one segment and advances the phase machine.
-    fn step_segment(&mut self) {
-        match self.phase {
-            0 => {
-                self.time += self.cfg.compute_cycles;
-                self.events += 1;
-                self.phase = 1;
-            }
-            1 => {
-                self.time += DRIVER_CALL_OVERHEAD + self.cfg.words() * DRIVER_PER_WORD;
-                self.events += 1;
-                self.iter += 1;
-                self.phase = if self.iter >= self.cfg.iterations {
-                    2
-                } else {
-                    0
-                };
-            }
-            2 => {
-                // Tail drain of the final message: time, but no event —
-                // matching `realize_driver`'s accounting exactly.
-                self.time += self.cfg.words() * self.cfg.drain_period;
-                self.phase = 3;
-            }
-            _ => {}
+    /// Charges whole segments until the clock reaches `t` or the run
+    /// ends. Segments are atomic (like instructions on the ISS), so the
+    /// clock may overshoot `t` by at most one segment.
+    fn run_until(&mut self, t: u64) {
+        while self.time < t {
+            let Some((cycles, events)) = self.next_segment() else {
+                break;
+            };
+            self.time += cycles;
+            self.events += events;
+            self.charged += 1;
         }
     }
 }
@@ -528,17 +571,13 @@ impl SimEngine for DriverEngine {
     }
 
     fn advance_to(&mut self, t: u64) -> Result<(), SimError> {
-        // Segments are atomic (like instructions on the ISS), so the
-        // engine may overshoot the horizon by at most one segment.
-        while self.time < t && self.phase != 3 {
-            self.step_segment();
-        }
+        self.run_until(t);
         self.floor = self.floor.max(t);
         Ok(())
     }
 
     fn is_done(&self) -> bool {
-        self.phase == 3
+        self.charged == self.segments()
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -550,9 +589,12 @@ impl SimEngine for DriverEngine {
     }
 
     fn next_event_hint(&self) -> Option<u64> {
-        // The model is closed-form: nothing happens between segment
-        // boundaries, and a finished engine parks forever.
-        Some(self.segment_end())
+        // Nothing happens between segment boundaries, and a finished
+        // engine parks forever.
+        Some(
+            self.next_segment()
+                .map_or(u64::MAX, |(cycles, _)| self.time + cycles),
+        )
     }
 
     fn supports_snapshot(&self) -> bool {
@@ -560,22 +602,23 @@ impl SimEngine for DriverEngine {
     }
 
     fn save_state(&self, w: &mut StateWriter) {
-        w.u32(self.iter);
-        w.u8(self.phase);
+        w.u64(self.charged);
         w.u64(self.time);
         w.u64(self.floor);
         w.u64(self.events);
     }
 
     fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SimError> {
-        self.iter = r.u32()?;
-        let phase = r.u8()?;
-        if phase > 3 {
+        let charged = r.u64()?;
+        if charged > self.segments() {
             return Err(SimError::Hardware(RtlError::State {
-                reason: format!("unknown driver phase tag {phase}"),
+                reason: format!(
+                    "driver segment {charged} beyond the run's {}",
+                    self.segments()
+                ),
             }));
         }
-        self.phase = phase;
+        self.charged = charged;
         self.time = r.u64()?;
         self.floor = r.u64()?;
         self.events = r.u64()?;
@@ -583,44 +626,55 @@ impl SimEngine for DriverEngine {
     }
 }
 
-/// The ladder scenario as a message-level process network: the producer/
-/// consumer pair, its placement (producer on the CPU, consumer as the
-/// hardware FIFO drain), and the message-level config. Shared by the
-/// ladder's E3 level and the co-simulation benchmarks, which mount the
-/// same network as a [`message::MessageEngine`] under a coordinator.
+/// A validated spec as a message-level process network: one software
+/// producer interleaving every channel's traffic (matching the order of
+/// [`system_program`]), one hardware consumer per channel draining at
+/// its FIFO's rate. Public so the fault campaign and the co-simulation
+/// benchmarks can mount the same network as a
+/// [`message::MessageEngine`] under a coordinator.
 #[must_use]
-pub fn message_scenario(cfg: &LadderConfig) -> (ProcessNetwork, Placement, MessageConfig) {
-    let mut net = ProcessNetwork::new("ladder");
-    let ch = net.add_channel("data", 1);
-    net.add_process(
-        Process::new(
-            "producer",
-            vec![
-                Action::Compute(cfg.compute_cycles),
-                Action::Send {
-                    channel: ch,
-                    bytes: cfg.message_bytes,
-                },
-            ],
-        )
-        .with_iterations(cfg.iterations),
-    );
-    net.add_process(
-        Process::new(
-            "consumer",
-            vec![
-                Action::Receive { channel: ch },
-                Action::Compute(cfg.words() * cfg.drain_period),
-            ],
-        )
-        .with_iterations(cfg.iterations),
-    );
-    let placement = Placement::from_assignment(vec![Resource::Software(0), Resource::Hardware(0)]);
+pub fn system_network(spec: &SystemSpec) -> (ProcessNetwork, Placement, MessageConfig) {
+    let mut net = ProcessNetwork::new(&spec.name);
+    let mut producer_actions = Vec::new();
+    let mut consumers = Vec::new();
+    for (ci, ch) in spec.channels.iter().enumerate() {
+        let DeviceKind::Fifo {
+            capacity,
+            drain_period,
+        } = spec.regions[ch.region].kind
+        else {
+            unreachable!("validated: channel regions are fifos");
+        };
+        // One message per iteration; buffering mirrors how many whole
+        // messages the FIFO can hold.
+        let depth = (capacity as u64 / ch.words).max(1) as usize;
+        let channel = net.add_channel(format!("ch{ci}"), depth);
+        if ch.compute > 0 {
+            producer_actions.push(Action::Compute(ch.compute));
+        }
+        producer_actions.push(Action::Send {
+            channel,
+            bytes: ch.words * 4,
+        });
+        consumers.push((ci, channel, ch.words * drain_period, ch.hw_unit));
+    }
+    net.add_process(Process::new("producer", producer_actions).with_iterations(spec.iterations));
+    let mut placement = vec![Resource::Software(0)];
+    for (ci, channel, drain, hw_unit) in consumers {
+        net.add_process(
+            Process::new(
+                format!("consumer{ci}"),
+                vec![Action::Receive { channel }, Action::Compute(drain)],
+            )
+            .with_iterations(spec.iterations),
+        );
+        placement.push(Resource::Hardware(hw_unit));
+    }
     let config = MessageConfig {
-        hw_speedup: 1.0, // the consumer's Compute already is hardware time
+        hw_speedup: 1.0, // consumer Compute is already hardware time
         ..MessageConfig::default()
     };
-    (net, placement, config)
+    (net, Placement::from_assignment(placement), config)
 }
 
 /// Realizes a system's process network at the message level through
@@ -647,6 +701,25 @@ pub fn realize_message(
     })
 }
 
+/// Realizes `spec` at all four levels, reporting to `tracer`:
+/// [`system_program`] assembled once for both ISS levels,
+/// [`realize_driver`], and [`system_network`].
+///
+/// # Errors
+///
+/// [`SimError::Spec`] if `spec` fails [`SystemSpec::validate`], and the
+/// assembler, bus, ISS and message-kernel failures of the levels.
+pub fn realize_system(spec: &SystemSpec, tracer: &Tracer) -> Result<SystemRun, SimError> {
+    spec.validate()?;
+    let program = assemble(&system_program(spec))?;
+    Ok(SystemRun {
+        pin: realize_iss(spec, &program, true, tracer)?,
+        register: realize_iss(spec, &program, false, tracer)?,
+        driver: realize_driver(spec),
+        message: realize_message(&system_network(spec), tracer)?,
+    })
+}
+
 /// Realizes the E3 scenario at one level, reporting to `tracer`.
 fn level_report(
     level: AbstractionLevel,
@@ -658,12 +731,12 @@ fn level_report(
     let run = match level {
         AbstractionLevel::Pin | AbstractionLevel::Register => realize_iss(
             &spec,
-            &assemble(&producer_program(cfg))?,
+            &assemble(&system_program(&spec))?,
             level == AbstractionLevel::Pin,
             tracer,
         )?,
         AbstractionLevel::Driver => realize_driver(&spec),
-        AbstractionLevel::Message => realize_message(&message_scenario(cfg), tracer)?,
+        AbstractionLevel::Message => realize_message(&system_network(&spec), tracer)?,
     };
     Ok(LevelReport {
         level,
@@ -888,8 +961,8 @@ mod tests {
 
     /// A three-channel generated system with an IRQ-wired UART, and a
     /// program that takes every UART interrupt, then writes each channel's
-    /// FIFO up to its capacity without polling (the conformance program
-    /// lives in `codesign-conform`, downstream of this crate). The seed is
+    /// FIFO up to its capacity without polling (unlike
+    /// [`system_program`], which polls before every write). The seed is
     /// one whose FIFOs all still hold words at `halt`, each with a
     /// different tail, the longest in the middle channel.
     fn multi_channel_system() -> (SystemSpec, Program) {
@@ -935,16 +1008,12 @@ mod tests {
         (spec, assemble(&p).unwrap())
     }
 
-    /// The ladder's one-FIFO system with its producer, then
+    /// The ladder's one-FIFO system with its [`system_program`], then
     /// [`multi_channel_system`].
     fn iss_inputs(cfg: &LadderConfig) -> [(SystemSpec, Program); 2] {
-        [
-            (
-                cfg.spec().unwrap(),
-                assemble(&producer_program(cfg)).unwrap(),
-            ),
-            multi_channel_system(),
-        ]
+        let spec = cfg.spec().unwrap();
+        let program = assemble(&system_program(&spec)).unwrap();
+        [(spec, program), multi_channel_system()]
     }
 
     #[test]
@@ -1024,10 +1093,34 @@ mod tests {
         }
     }
 
+    /// The driver model in closed form, `(cycles, kernel events)`: the
+    /// oracle [`DriverEngine`] must reproduce segment by segment.
+    fn closed_form_driver(spec: &SystemSpec) -> (u64, u64) {
+        let irqs = spec.irq_count();
+        let mut time = irqs * DRIVER_IRQ_COST;
+        let mut events = irqs;
+        for _ in 0..spec.iterations {
+            for ch in &spec.channels {
+                time += ch.compute + DRIVER_CALL_OVERHEAD + ch.words * DRIVER_PER_WORD;
+                events += 2;
+            }
+        }
+        time += spec
+            .channels
+            .iter()
+            .filter_map(|ch| match spec.regions[ch.region].kind {
+                DeviceKind::Fifo { drain_period, .. } => Some(ch.words * drain_period),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
+        (time, events)
+    }
+
     #[test]
     fn driver_engine_matches_closed_form_model() {
         use crate::engine::Coordinator;
-        for cfg in [
+        let mut specs: Vec<SystemSpec> = [
             LadderConfig::default(),
             LadderConfig {
                 iterations: 5,
@@ -1035,20 +1128,64 @@ mod tests {
                 drain_period: 40,
                 ..LadderConfig::default()
             },
-        ] {
-            let reference = realize_driver(&cfg.spec().unwrap());
+        ]
+        .iter()
+        .map(|cfg| cfg.spec().unwrap())
+        .collect();
+        specs.push(multi_channel_system().0);
+        // Generated systems: several channels, UART interrupts, and
+        // zero-compute channels among them.
+        specs.extend((0..24).map(|seed| {
+            random_system(&SysConfig {
+                max_irq_bytes: 6,
+                seed,
+                ..SysConfig::default()
+            })
+            .unwrap()
+        }));
+        assert!(specs.iter().any(|s| s.irq_count() > 0));
+        assert!(specs.iter().any(|s| s.channels.len() > 1));
+        for spec in &specs {
+            let (cycles, events) = closed_form_driver(spec);
+            let run = realize_driver(spec);
+            assert_eq!(
+                (run.cycles, run.kernel_events),
+                (cycles, events),
+                "{}",
+                spec.name
+            );
+
             let mut coord = Coordinator::lockstep(16);
-            coord.add_engine(Box::new(DriverEngine::new("driver", cfg)));
+            coord.add_engine(Box::new(DriverEngine::new("driver", spec)));
             coord.run(u64::MAX).unwrap();
             assert!(coord.is_done());
             let eng = coord.engines()[0]
                 .as_any()
                 .downcast_ref::<DriverEngine>()
                 .unwrap();
-            assert_eq!(eng.simulated_cycles(), reference.cycles);
-            assert_eq!(eng.events(), reference.kernel_events);
-            assert_eq!(eng.iterations_done(), eng.cfg.iterations);
+            assert_eq!(eng.simulated_cycles(), cycles, "{}", spec.name);
+            assert_eq!(eng.events(), events, "{}", spec.name);
+            assert_eq!(eng.iterations_done(), spec.iterations, "{}", spec.name);
         }
+    }
+
+    #[test]
+    fn driver_state_past_the_last_segment_is_rejected() {
+        let spec = LadderConfig::default().spec().unwrap();
+        let mut engine = DriverEngine::new("driver", &spec);
+        let mut w = StateWriter::new();
+        w.u64(engine.segments() + 1);
+        for _ in 0..3 {
+            w.u64(0);
+        }
+        let bytes = w.into_bytes();
+        let err = engine
+            .restore_state(&mut StateReader::new(&bytes))
+            .unwrap_err();
+        assert!(
+            matches!(err, SimError::Hardware(RtlError::State { .. })),
+            "{err}"
+        );
     }
 
     #[test]

@@ -51,6 +51,15 @@ cargo run --release -q -p codesign-bench --bin bench-explore -- --smoke
 echo "== bench-conform smoke (40-system differential conformance) =="
 timeout --signal=KILL 300 cargo run --release -q -p codesign-bench --bin bench-conform -- --smoke
 
+# The full 1000-system sweep (~0.4 s) must regenerate the checked-in
+# report apart from the three lines that describe the host and the
+# checkout rather than the campaign: every cycle bound, count and error
+# statistic is pinned, as BENCH_faults.json's are above.
+echo "== bench-conform full (BENCH_conform.json up to host lines) =="
+timeout --signal=KILL 300 cargo run --release -q -p codesign-bench --bin bench-conform -- target/BENCH_conform.json
+host_lines='"(git_rev|host_cores|threads)":'
+diff <(grep -Ev "$host_lines" target/BENCH_conform.json) <(grep -Ev "$host_lines" BENCH_conform.json)
+
 # Chaos stays on even in the smoke: injected panics, wedged-engine
 # watchdog stalls, transient faults, garbage lines, and an overload
 # burst against a deliberately small queue. Gates the accounting

@@ -10,7 +10,6 @@
 //! return. The last tests pin that against the same systems stepped one
 //! instruction at a time, where devices catch up after every instruction.
 
-use codesign::conform::runner::conformance_program;
 use codesign::conform::sweep::sys_config;
 use codesign::fault::{FaultPlan, SharedInjector};
 use codesign::ir::workload::sysgen::{random_system, SysConfig};
@@ -23,7 +22,7 @@ use codesign::sim::adapters::CpuEngine;
 use codesign::sim::engine::Coordinator;
 use codesign::sim::fingerprint::cpu_state_digest;
 use codesign::sim::ladder::{
-    build_cpu, run_ladder, run_level, timing_errors, AbstractionLevel, LadderConfig,
+    build_cpu, run_ladder, run_level, system_program, timing_errors, AbstractionLevel, LadderConfig,
 };
 use codesign::trace::Tracer;
 
@@ -190,7 +189,7 @@ fn lazy_device_catch_up_matches_per_instruction_stepping() {
         .collect();
     assert!(specs[1].irq_count() > 0, "seed 1686 wires a uart");
     for (i, spec) in specs.iter().enumerate() {
-        let program = assemble(&conformance_program(spec)).expect("program assembles");
+        let program = assemble(&system_program(spec)).expect("program assembles");
         for pin in [false, true] {
             for quantum in [7, 61, 1009] {
                 let build = || {

@@ -174,6 +174,26 @@ fn cosim_searches_a_hardware_budget() {
 }
 
 #[test]
+fn cosim_rejects_a_zero_quantum_without_panicking() {
+    // Regression: `--quantum 0` reached `Coordinator::new`, whose
+    // assertion panicked (exit 101); the served job already answered
+    // `bad_field`. Both now share the one check in `run_cosim_sliced`.
+    let path = spec_file();
+    let out = Command::new(env!("CARGO_BIN_EXE_codesign"))
+        .args(["cosim", path.to_str().unwrap(), "--quantum", "0"])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    assert_ne!(out.status.code(), Some(101), "panicked: {err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(
+        err.contains("bad_field") && err.contains("quantum"),
+        "{err}"
+    );
+}
+
+#[test]
 fn multiproc_allocates_processors() {
     let path = spec_file();
     let (out, err, ok) = codesign(&[
