@@ -193,7 +193,7 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             print!("{HELP}");
             Ok(())
         }
-        Some("classify") => cmd_classify(),
+        Some("classify") => cmd_classify(&args[1..]),
         Some("partition") => cmd_partition(&args[1..]),
         Some("explore") => cmd_explore(&args[1..]),
         Some("cosim") => cmd_cosim(&args[1..]),
@@ -205,6 +205,36 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         Some("debug") => cmd_debug(&args[1..]),
         Some(other) => Err(format!("unknown command `{other}`; try `codesign help`").into()),
     }
+}
+
+/// Checks one subcommand's arguments against its flags and returns its
+/// bare arguments. A `valued` flag takes the next argument as its value;
+/// a `switch` takes none. An unknown flag, a valued flag without a value,
+/// or more than `max_bare` bare arguments is an error that names it.
+fn check_args<'a>(
+    args: &'a [String],
+    valued: &[&str],
+    switches: &[&str],
+    max_bare: usize,
+) -> Result<Vec<&'a str>, Box<dyn std::error::Error>> {
+    let mut bare = Vec::new();
+    let mut it = args.iter().map(String::as_str);
+    while let Some(arg) = it.next() {
+        if valued.contains(&arg) {
+            if it.next().is_none() {
+                return Err(format!("missing value for {arg}").into());
+            }
+        } else if !switches.contains(&arg) {
+            if arg.starts_with('-') {
+                return Err(format!("unknown flag `{arg}`; try `codesign help`").into());
+            }
+            if bare.len() == max_bare {
+                return Err(format!("unexpected argument `{arg}`; try `codesign help`").into());
+            }
+            bare.push(arg);
+        }
+    }
+    Ok(bare)
 }
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -256,16 +286,15 @@ fn save_trace(tracer: &Tracer, path: Option<&str>) -> Result<(), Box<dyn std::er
     Ok(())
 }
 
-fn load_spec(args: &[String]) -> Result<SystemSpec, Box<dyn std::error::Error>> {
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .ok_or("missing <spec.cds> argument")?;
+/// Reads the spec named by the one bare argument `check_args` allowed.
+fn load_spec(bare: &[&str]) -> Result<SystemSpec, Box<dyn std::error::Error>> {
+    let path = bare.first().ok_or("missing <spec.cds> argument")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     Ok(SystemSpec::parse(&text)?)
 }
 
-fn cmd_classify() -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_classify(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    check_args(args, &[], &[], 0)?;
     let survey = codesign::registry::surveyed_methodologies();
     println!("Surveyed methodologies (paper Section 4/5):\n");
     print!("{}", codesign::report::comparison_table(&survey));
@@ -297,7 +326,13 @@ fn objective_flags(
 }
 
 fn cmd_partition(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let spec = load_spec(args)?;
+    let bare = check_args(
+        args,
+        &["--objective", "--algorithm", "--deadline"],
+        &["--sharing", "--json"],
+        1,
+    )?;
+    let spec = load_spec(&bare)?;
     let graph = spec
         .task_graph()
         .ok_or("the spec declares no tasks; `partition` needs the task-graph view")?;
@@ -355,7 +390,24 @@ fn cmd_partition(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_explore(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let spec = load_spec(args)?;
+    let bare = check_args(
+        args,
+        &[
+            "--budget",
+            "--threads",
+            "--seed",
+            "--workers",
+            "--eval",
+            "--cache-file",
+            "--objective",
+            "--deadline",
+            "--out",
+            "--trace",
+        ],
+        &["--sharing", "--json"],
+        1,
+    )?;
+    let spec = load_spec(&bare)?;
     let graph = spec
         .task_graph()
         .ok_or("the spec declares no tasks; `explore` needs the task-graph view")?;
@@ -476,7 +528,13 @@ fn cmd_explore(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_cosim(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let spec = load_spec(args)?;
+    let bare = check_args(
+        args,
+        &["--hw", "--budget", "--quantum", "--trace"],
+        &["--json"],
+        1,
+    )?;
+    let spec = load_spec(&bare)?;
     let net = spec
         .network()
         .ok_or("the spec declares no processes; `cosim` needs the process view")?;
@@ -524,6 +582,19 @@ fn cmd_cosim(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    check_args(
+        args,
+        &[
+            "--addr",
+            "--workers",
+            "--queue-cap",
+            "--max-attempts",
+            "--cache-file",
+            "--trace",
+        ],
+        &[],
+        0,
+    )?;
     let (tracer, trace_path) = trace_flag(args);
     let store = std::sync::Arc::new(codesign::explore::EvalCache::new());
     let cache_file = flag_value(args, "--cache-file").map(std::path::PathBuf::from);
@@ -555,9 +626,9 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("serving on {}", listener.local_addr()?);
         serve_tcp(server, listener)?
     } else {
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        serve_lines(server, stdin.lock(), stdout.lock())?
+        // The reply writer runs on its own thread, which can take
+        // `Stdout` but not its lock.
+        serve_lines(server, std::io::stdin().lock(), std::io::stdout())?
     };
     if let Some(path) = &cache_file {
         // Crash-safe append: only the entries this serving session added.
@@ -574,6 +645,12 @@ fn cmd_faults(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if has_flag(args, "--bisect") {
         return cmd_faults_bisect(args);
     }
+    check_args(
+        args,
+        &["--seeds", "--seed-base", "--scenario", "--out", "--trace"],
+        &[],
+        0,
+    )?;
     let config = CampaignConfig {
         seeds: parsed_flag(args, "--seeds")?.unwrap_or(32),
         seed_base: parsed_flag(args, "--seed-base")?.unwrap_or(0xC0DE),
@@ -597,6 +674,12 @@ fn cmd_faults(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 /// `codesign faults --bisect`: golden-vs-armed divergence bisection of
 /// one campaign scenario via the replay checkpoint store.
 fn cmd_faults_bisect(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    check_args(
+        args,
+        &["--scenario", "--seed", "--cadence", "--max-rounds"],
+        &["--bisect"],
+        0,
+    )?;
     let scenario = flag_value(args, "--scenario").unwrap_or("ladder_register");
     if !SCENARIOS.contains(&scenario) {
         return Err(
@@ -659,6 +742,18 @@ fn cmd_debug(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     use codesign::sim::engine::Coordinator;
     use codesign::sim::ladder::{build_cpu, system_program};
 
+    check_args(
+        args,
+        &[
+            "--gdb",
+            "--iterations",
+            "--quantum",
+            "--cadence",
+            "--max-rounds",
+        ],
+        &["--pin"],
+        0,
+    )?;
     let addr = flag_value(args, "--gdb")
         .ok_or("missing --gdb HOST:PORT (e.g. `codesign debug --gdb 127.0.0.1:3333`)")?;
     let cadence = parsed_flag::<u64>(args, "--cadence")?.unwrap_or(8).max(1);
@@ -697,6 +792,12 @@ fn cmd_conform(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         conformance_fails, report_json, run_sweep, sys_config, SweepConfig,
     };
 
+    check_args(
+        args,
+        &["--systems", "--seed", "--threads", "--out"],
+        &["--smoke", "--no-lockstep", "--json"],
+        0,
+    )?;
     let smoke = has_flag(args, "--smoke");
     let lockstep = !has_flag(args, "--no-lockstep");
     let cfg = SweepConfig {
@@ -798,7 +899,8 @@ fn cmd_conform(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_multiproc(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let spec = load_spec(args)?;
+    let bare = check_args(args, &["--deadline", "--solver"], &[], 1)?;
+    let spec = load_spec(&bare)?;
     let graph = spec
         .task_graph()
         .ok_or("the spec declares no tasks; `multiproc` needs the task-graph view")?;
@@ -838,6 +940,7 @@ fn cmd_multiproc(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_ladder(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    check_args(args, &["--bytes", "--iterations", "--trace"], &[], 0)?;
     let cfg = LadderConfig {
         message_bytes: parsed_flag(args, "--bytes")?.unwrap_or(64),
         iterations: parsed_flag(args, "--iterations")?.unwrap_or(16),

@@ -563,6 +563,11 @@ fn handle(dbg: &mut DebugSession, cmd: &str) -> Result<Option<String>, SimError>
 /// client as `E02` and end the session.
 pub fn serve(listener: &TcpListener, mut dbg: DebugSession) -> std::io::Result<()> {
     let (stream, _) = listener.accept()?;
+    // Every exchange is two writes, the `+` ack and then the reply, sent
+    // before the client says anything. Without `TCP_NODELAY`, Nagle's
+    // algorithm holds the reply until the client's delayed ACK of the
+    // `+`, up to 40 ms per exchange.
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     while let Some(packet) = read_packet(&mut reader)? {

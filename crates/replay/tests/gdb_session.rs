@@ -7,6 +7,7 @@ mod common;
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::time::{Duration, Instant};
 
 use codesign_replay::{serve, DebugSession};
 use common::build_level;
@@ -143,6 +144,31 @@ fn scripted_rsp_session() {
     assert_eq!(c.exchange("D"), "OK");
 
     server.join().unwrap().unwrap();
+}
+
+/// Every exchange is answered at once. The stub sends the `+` ack and
+/// the reply packet as two writes before the client sends anything, so
+/// without `TCP_NODELAY` on its socket the reply waits for the client's
+/// delayed ACK of the `+`: ~40 ms per exchange.
+#[test]
+fn exchanges_are_not_held_back() {
+    let (addr, server) = spawn_server();
+    let mut c = Client {
+        stream: TcpStream::connect(addr).unwrap(),
+    };
+    // The first exchange also waits for the session to be built.
+    assert_eq!(c.exchange("?"), "S05");
+    let started = Instant::now();
+    for _ in 0..20 {
+        assert_eq!(c.exchange("?"), "S05");
+    }
+    let elapsed = started.elapsed();
+    assert_eq!(c.exchange("D"), "OK");
+    server.join().unwrap().unwrap();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "20 exchanges took {elapsed:?}"
+    );
 }
 
 #[test]

@@ -6,6 +6,10 @@
 //! server. Replies stream back in completion order through a per-client
 //! channel drained by a dedicated writer, so slow jobs never block the
 //! reader and a client can keep many jobs in flight on one connection.
+//! Both writers run `write_replies`: each reply leaves as it lands,
+//! in one write of the reply and its newline. TCP connections also set
+//! `TCP_NODELAY`, so the kernel sends that write at once instead of
+//! holding it until the client acknowledges the previous reply.
 //!
 //! A malformed line yields one `status:"error"` reply and the
 //! connection lives on — chaos clients deliberately interleave garbage
@@ -22,7 +26,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -157,25 +161,56 @@ fn dispatch_line<R: JobRunner>(
     }
 }
 
-/// Serves line requests from `input`, writing replies to `output`, until
-/// EOF or a `shutdown` request; then drains gracefully and (for
-/// `shutdown`) emits a final `stats` reply. Returns the final counters.
+/// Writes each reply from `rx` to `out` as it arrives: the reply and
+/// its newline in one `write_all`, then a flush. Returns when the
+/// channel closes, or at the first write error.
+///
+/// One write per reply matters on a socket. A reply written in two
+/// parts sends its second part, often the lone newline, while the first
+/// is still unacknowledged, and without `TCP_NODELAY` Nagle's algorithm
+/// holds it until the client's delayed ACK (up to 40 ms on Linux).
+fn write_replies(rx: Receiver<String>, mut out: impl Write) -> std::io::Result<()> {
+    for mut reply in rx {
+        reply.push('\n');
+        out.write_all(reply.as_bytes())?;
+        out.flush()?;
+    }
+    Ok(())
+}
+
+/// Serves line requests from `input`, writing replies to `output` as
+/// they land, until EOF or a `shutdown` request; then drains gracefully
+/// and (for `shutdown`) emits a final `stats` reply. Returns the final
+/// counters, or the first read or write error.
 ///
 /// This is the `--stdio` transport and the unit-testable core of the
 /// TCP one.
 pub fn serve_lines<R: JobRunner>(
     server: Server<R>,
     input: impl BufRead,
-    mut output: impl Write,
+    output: impl Write + Send,
+) -> std::io::Result<StatsSnapshot> {
+    let (tx, rx) = channel::<String>();
+    std::thread::scope(|scope| {
+        // The writer thread decouples job completion from the read loop.
+        let writer = scope.spawn(move || write_replies(rx, output));
+        let served = read_lines(server, input, tx);
+        let written = writer.join().expect("reply writer panicked");
+        let stats = served?;
+        written?;
+        Ok(stats)
+    })
+}
+
+/// The read loop of [`serve_lines`]. It owns `tx`, and the server owns
+/// the clones it gave accepted jobs, so the writer sees the channel
+/// close once the last reply is sent.
+fn read_lines<R: JobRunner>(
+    server: Server<R>,
+    input: impl BufRead,
+    tx: Sender<String>,
 ) -> std::io::Result<StatsSnapshot> {
     let handle = server.handle();
-    let (tx, rx) = channel::<String>();
-    // The writer thread decouples job completion from the read loop.
-    let writer = std::thread::spawn(move || -> Vec<String> {
-        // Replies are collected and the caller writes them: keeps the
-        // output handle un-shared. (Bounded by the job count.)
-        rx.into_iter().collect()
-    });
     let mut shutdown_id = None;
     let mut lines = LineReader::new(input);
     while let Some(line) = lines.next_line()? {
@@ -197,31 +232,23 @@ pub fn serve_lines<R: JobRunner>(
     if let Some(id) = shutdown_id {
         let _ = tx.send(reply_stats(&id, &stats));
     }
-    drop(tx);
-    for reply in writer.join().expect("reply writer panicked") {
-        writeln!(output, "{reply}")?;
-    }
-    output.flush()?;
     Ok(stats)
 }
 
 /// Streaming variant of [`serve_lines`] used by the TCP transport: the
-/// writer thread owns the output and flushes each reply as it lands.
+/// writer thread owns the write half of the socket.
 fn connection_loop<R: JobRunner>(
     stream: &TcpStream,
     handle: &Handle<R>,
     stop: &AtomicBool,
 ) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
     let reader = BufReader::new(stream.try_clone()?);
     let write_half = stream.try_clone()?;
     let (tx, rx) = channel::<String>();
     let writer = std::thread::spawn(move || {
-        let mut out = std::io::BufWriter::new(write_half);
-        for reply in rx {
-            if writeln!(out, "{reply}").and_then(|()| out.flush()).is_err() {
-                return; // client went away; pending sends are dropped
-            }
-        }
+        // An error means the client went away; pending sends are dropped.
+        let _ = write_replies(rx, write_half);
     });
     // A read timeout keeps idle connections from pinning the acceptor
     // open past shutdown.
@@ -310,6 +337,8 @@ mod tests {
         fn run(&self, request: &Request, _attempt: u32) -> Result<String, JobError> {
             match request.kind.as_str() {
                 "echo" => Ok(format!("echo:{}", request.id)),
+                // Larger than a default 8 KiB write buffer.
+                "big" => Ok("x".repeat(16 * 1024)),
                 other => Err(JobError::permanent("unknown_kind", other)),
             }
         }
@@ -469,6 +498,69 @@ this is not json\n\
         writeln!(s, "{{\"id\":\"down\",\"kind\":\"shutdown\"}}").unwrap();
         let stats = acceptor.join().unwrap();
         assert_eq!(stats.ok, 1);
+        assert_eq!(stats.terminal(), stats.accepted);
+    }
+
+    /// Every accepted connection sets `TCP_NODELAY`, so a reply is sent
+    /// at once even while the client has not acknowledged the last one.
+    #[test]
+    fn connections_set_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let probe = stream.try_clone().unwrap();
+        let server = Server::new(EchoRunner, ServerConfig::default(), &Tracer::off());
+        let handle = server.handle();
+        let connection =
+            std::thread::spawn(move || connection_loop(&stream, &handle, &AtomicBool::new(false)));
+        client
+            .write_all(b"{\"id\":\"s\",\"kind\":\"stats\"}\n")
+            .unwrap();
+        let mut line = String::new();
+        BufReader::new(&client).read_line(&mut line).unwrap();
+        assert!(line.contains("\"status\":\"stats\""), "{line}");
+        assert!(
+            probe.nodelay().unwrap(),
+            "the server's socket holds replies back"
+        );
+        // EOF ends the connection loop.
+        drop(client);
+        connection.join().unwrap().unwrap();
+        server.shutdown();
+    }
+
+    /// A reply larger than a write buffer is not held back. Written
+    /// apart from its newline on a socket without `TCP_NODELAY`, the lone
+    /// newline waits for the client's delayed ACK, ~40 ms per round trip.
+    #[test]
+    fn big_replies_are_not_held_back() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = Server::new(EchoRunner, ServerConfig::default(), &Tracer::off());
+        let acceptor = std::thread::spawn(move || serve_tcp(server, listener).unwrap());
+
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_nodelay(true).unwrap();
+        let mut r = BufReader::new(s.try_clone().unwrap());
+        let started = std::time::Instant::now();
+        for i in 0..20 {
+            s.write_all(format!("{{\"id\":\"b{i}\",\"kind\":\"big\"}}\n").as_bytes())
+                .unwrap();
+            let mut line = String::new();
+            r.read_line(&mut line).unwrap();
+            assert!(line.contains(&format!("\"id\":\"b{i}\"")), "{line}");
+            assert!(line.len() > 16 * 1024, "{} bytes", line.len());
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(250),
+            "20 round trips took {elapsed:?}"
+        );
+
+        s.write_all(b"{\"id\":\"down\",\"kind\":\"shutdown\"}\n")
+            .unwrap();
+        let stats = acceptor.join().unwrap();
+        assert_eq!(stats.ok, 20);
         assert_eq!(stats.terminal(), stats.accepted);
     }
 

@@ -234,6 +234,39 @@ fn invalid_flag_values_name_the_flag() {
     assert!(err.contains("ladder_message"), "lists the options: {err}");
 }
 
+/// Every subcommand checks its arguments against its own flags: a
+/// retired or misspelt flag, a trailing flag without its value and a
+/// stray argument each fail with exit 1 and an error that names them.
+#[test]
+fn unknown_flags_missing_values_and_stray_arguments_fail() {
+    let path = spec_file();
+    let spec = path.to_str().unwrap();
+    for (args, needle) in [
+        (
+            vec!["explore", spec, "--depth", "3", "--budget", "64"],
+            "unknown flag `--depth`",
+        ),
+        (vec!["partition", spec, "--jsn"], "unknown flag `--jsn`"),
+        (
+            vec!["explore", spec, "--budget"],
+            "missing value for --budget",
+        ),
+        (
+            vec!["cosim", spec, "other.cds"],
+            "unexpected argument `other.cds`",
+        ),
+        (vec!["classify", "--verbose"], "unknown flag `--verbose`"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_codesign"))
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(needle), "{args:?}: {err}");
+    }
+}
+
 #[test]
 fn invalid_explore_flags_name_the_flag() {
     let path = spec_file();
@@ -479,6 +512,51 @@ fn serve_stdio(input: &str) -> (String, String, bool) {
         String::from_utf8_lossy(&out.stderr).into_owned(),
         out.status.success(),
     )
+}
+
+/// A stdio client reads each reply as soon as its job is done, while its
+/// stdin is still open, not only once it closes stdin.
+#[test]
+fn serve_stdio_replies_before_stdin_closes() {
+    use std::io::BufRead as _;
+    use std::process::Stdio;
+    use std::time::Duration;
+
+    let path = spec_file();
+    let spec = json::escape(path.to_str().unwrap());
+    let mut child = Command::new(env!("CARGO_BIN_EXE_codesign"))
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("serve starts");
+    let mut stdin = child.stdin.take().expect("stdin");
+    let stdout = child.stdout.take().expect("stdout");
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        for line in std::io::BufReader::new(stdout).lines() {
+            let _ = tx.send(line.expect("reads a reply line"));
+        }
+    });
+    stdin
+        .write_all(
+            format!("{{\"id\":\"p\",\"kind\":\"partition\",\"spec\":\"{spec}\"}}\n").as_bytes(),
+        )
+        .expect("writes the job");
+    stdin.flush().expect("flushes the job");
+    let early = rx.recv_timeout(Duration::from_secs(20));
+    stdin
+        .write_all(b"{\"id\":\"z\",\"kind\":\"shutdown\"}\n")
+        .expect("writes the shutdown");
+    drop(stdin);
+    let status = child.wait().expect("serve exits");
+    reader.join().expect("reader thread");
+    let early = early.expect("the job's reply arrives while stdin is open");
+    reply(&replies(&early), "p", "ok");
+    let rest: Vec<String> = rx.iter().collect();
+    reply(&replies(&rest.join("\n")), "z", "stats");
+    assert!(status.success());
 }
 
 /// Every reply line in `out`, parsed.
