@@ -8,7 +8,7 @@
 //! codesign multiproc <spec.cds> --deadline N   processor allocation (Fig. 5 flows)
 //! codesign ladder [opts]                    the Figure 3 abstraction-ladder sweep
 //! codesign faults [opts]                    deterministic fault-injection campaign
-//! codesign faults --bisect [opts]           bisect a faulty run's first divergent round
+//! codesign faults --bisect [opts]           a faulty run's first divergent round
 //! codesign conform [opts]                   differential conformance sweep across the ladder
 //! codesign serve [opts]                     multi-tenant job server (stdin or TCP)
 //! codesign debug --gdb HOST:PORT [opts]     GDB remote stub over the CR32 co-simulation
@@ -126,17 +126,15 @@ USAGE:
       (default BENCH_faults.json). Identical seeds reproduce identical
       campaigns.
 
-  codesign faults --bisect [--scenario NAME] [--seed N] [--cadence N]
-                  [--max-rounds N]
-      Time-travel divergence bisection: build one campaign scenario
-      twice with the same seed — once quiet, once with the standard
-      fault plan armed — run both in lockstep under checkpoint
-      recording (every --cadence rounds, default 8), and binary-search
-      the checkpoint histories for the exact first round the faulty
-      run's state departs the golden run's, in O(log checkpoints +
-      cadence) state probes instead of a linear scan. Reports the
-      divergent round, probe counts, and each run's final fingerprint
-      or terminal error (detected fault, budget, watchdog).
+  codesign faults --bisect [--scenario NAME] [--seed N] [--max-rounds N]
+      Divergence search: build one campaign scenario twice with the
+      same seed — once quiet, once with the standard fault plan armed —
+      step both in lockstep, and compare their serialized states byte
+      for byte after every round. Reports the exact first round the
+      faulty run's state departs the golden run's, the states compared,
+      each run's terminal error (detected fault, budget, watchdog), and
+      whether the runs never diverged, diverged and healed (equal final
+      fingerprints), or diverged.
 
   codesign debug --gdb HOST:PORT [--pin] [--iterations N] [--quantum N]
                  [--cadence N] [--max-rounds N]
@@ -671,12 +669,12 @@ fn cmd_faults(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// `codesign faults --bisect`: golden-vs-armed divergence bisection of
-/// one campaign scenario via the replay checkpoint store.
+/// `codesign faults --bisect`: the first round an armed run of one
+/// campaign scenario departs its fault-free twin, and whether it heals.
 fn cmd_faults_bisect(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     check_args(
         args,
-        &["--scenario", "--seed", "--cadence", "--max-rounds"],
+        &["--scenario", "--seed", "--max-rounds"],
         &["--bisect"],
         0,
     )?;
@@ -687,7 +685,6 @@ fn cmd_faults_bisect(args: &[String]) -> Result<(), Box<dyn std::error::Error>> 
         );
     }
     let seed = parsed_flag(args, "--seed")?.unwrap_or(0xC0DE);
-    let cadence = parsed_flag::<u64>(args, "--cadence")?.unwrap_or(8).max(1);
     let max_rounds = parsed_flag(args, "--max-rounds")?.unwrap_or(200_000);
 
     let factory = |plan: FaultPlan| {
@@ -700,37 +697,37 @@ fn cmd_faults_bisect(args: &[String]) -> Result<(), Box<dyn std::error::Error>> 
     let report = bisect_divergence(
         factory(FaultPlan::quiet()),
         factory(FaultPlan::standard()),
-        cadence,
+        0, // cadence: unused by the search
         max_rounds,
         RUN_BUDGET,
     )?;
 
-    println!("divergence bisection — scenario {scenario}, seed {seed:#x}, cadence {cadence}:\n");
+    println!("divergence search — scenario {scenario}, seed {seed:#x}:\n");
     match report.first_divergent_round {
         Some(round) => println!(
             "  first divergent round : {round} (of {} shared rounds)",
             report.rounds
         ),
         None => println!(
-            "  first divergent round : none within {} shared rounds (fault masked)",
+            "  first divergent round : none within {} shared rounds",
             report.rounds
         ),
     }
-    println!("  bisection probes      : {}", report.probes);
-    println!("  linear-scan probes    : {}", report.linear_probes);
-    println!("  checkpoints on grid   : {}", report.checkpoints);
+    println!("  states compared       : {}", report.probes);
     if let Some(e) = &report.golden_error {
         println!("  golden run ended with : {e}");
     }
     if let Some(e) = &report.faulty_error {
         println!("  faulty run ended with : {e}");
     }
-    let verdict = if report.golden_fingerprint == report.faulty_fingerprint {
-        "identical (fault masked)"
+    let verdict = if report.first_divergent_round.is_none() {
+        "never diverged (fault masked)"
+    } else if report.healed() {
+        "diverged, then healed (final fingerprints identical)"
     } else {
-        "diverged"
+        "diverged (final fingerprints differ)"
     };
-    println!("  final fingerprints    : {verdict}");
+    println!("  verdict               : {verdict}");
     Ok(())
 }
 

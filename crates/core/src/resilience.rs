@@ -299,12 +299,12 @@ fn run_scenario(name: &str, plan: &FaultPlan, seed: u64, tracer: &Tracer) -> Run
 
 /// Builds one campaign scenario *without running it*: the coordinator
 /// plus the seeded injector driving its fault wrappers. This is the
-/// factory replay bisection uses — `codesign faults --bisect` builds
-/// the same scenario twice (quiet plan vs armed plan, same seed) and
-/// binary-searches their checkpoint histories for the first divergent
-/// round. `lockstep` pins the coordination to the fixed quantum grid so
-/// round indices align between the two runs (the campaign itself keeps
-/// the default lookahead mode).
+/// factory the divergence search uses — `codesign faults --bisect`
+/// builds the same scenario twice (quiet plan vs armed plan, same seed),
+/// steps both together and compares their states after every round to
+/// find the first divergent round. `lockstep` pins the coordination to
+/// the fixed quantum grid so round indices align between the two runs
+/// (the campaign itself keeps the default lookahead mode).
 ///
 /// # Errors
 ///
@@ -487,6 +487,68 @@ mod tests {
         );
         codesign_trace::validate_chrome_trace(&tracer.to_chrome_json())
             .expect("campaign trace validates");
+    }
+
+    /// The divergence search equals the linear-scan oracle on every
+    /// scenario at seeds 1–32, and reports as healed exactly the pairs
+    /// that diverge yet end with equal fingerprints.
+    #[test]
+    fn divergence_search_is_exact_and_finds_healed_pairs() {
+        use codesign_replay::{bisect_divergence, linear_first_divergence};
+        const MAX_ROUNDS: u64 = 200_000;
+        let end_fingerprint = |name: &str, plan: &FaultPlan, seed: u64| {
+            let (mut coord, _) = build_scenario(name, plan, seed, true).expect("known scenario");
+            let mut rounds = 0;
+            while rounds < MAX_ROUNDS && !coord.is_done() && coord.run_one_round(BUDGET).is_ok() {
+                rounds += 1;
+            }
+            coordinator_fingerprint(&coord, coord.stats().time)
+        };
+        let mut healed = Vec::new();
+        for name in SCENARIOS {
+            let golden_end = end_fingerprint(name, &FaultPlan::quiet(), 1);
+            for seed in 1..=32 {
+                let run = |plan: FaultPlan| {
+                    move || {
+                        let (coord, inj) =
+                            build_scenario(name, &plan, seed, true).expect("known scenario");
+                        Ok((coord, Some(inj)))
+                    }
+                };
+                let (golden, faulty) = (run(FaultPlan::quiet()), run(FaultPlan::standard()));
+                let report =
+                    bisect_divergence(golden, faulty, 8, MAX_ROUNDS, BUDGET).expect("search runs");
+                let linear = linear_first_divergence(golden, faulty, MAX_ROUNDS, BUDGET)
+                    .expect("linear scan runs");
+                assert_eq!(report.first_divergent_round, linear, "{name} seed {seed}");
+                let ends_equal = end_fingerprint(name, &FaultPlan::standard(), seed) == golden_end;
+                assert_eq!(
+                    report.healed(),
+                    linear.is_some() && ends_equal,
+                    "{name} seed {seed}"
+                );
+                if report.healed() {
+                    healed.push((name, seed));
+                }
+            }
+        }
+        assert_eq!(
+            healed,
+            [
+                ("ladder_message", 27),
+                ("ladder_register", 6),
+                ("ladder_register", 10),
+                ("ladder_irq", 4),
+                ("ladder_irq", 26),
+                ("dsp_coprocessor", 3),
+                ("dsp_coprocessor", 5),
+                ("dsp_coprocessor", 12),
+                ("dsp_coprocessor", 15),
+                ("dsp_coprocessor", 19),
+                ("dsp_coprocessor", 25),
+                ("dsp_coprocessor", 29),
+            ]
+        );
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //! * [`gdb`] — a GDB Remote Serial Protocol server over the CR32 ISS
 //!   with breakpoints, bus-address watchpoints, and
 //!   `ReverseStep`/`ReverseContinue`, usable mid-co-simulation.
-//! * [`bisect`] — divergence bisection: binary-search the checkpoint
-//!   history of a faulty run against its golden twin to report the
-//!   exact first round their states differ, in `O(log C + K)` probes
-//!   instead of a linear scan.
+//! * [`bisect`] — divergence search: step a faulty run and its golden
+//!   twin together, compare their serialized states byte for byte
+//!   after every round, and report the exact first round they differ
+//!   and whether the runs end alike again (a healed divergence).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -25,7 +25,7 @@ use crate::store::{StateStore, DEFAULT_PAGE_SIZE};
 
 /// Bytes [`snapshot`] reserves up front: a CPU checkpoint (4 KiB of
 /// data memory plus registers, bus and devices) fits without regrowing.
-pub(crate) const CHECKPOINT_CAPACITY: usize = 8 << 10;
+const CHECKPOINT_CAPACITY: usize = 8 << 10;
 
 /// Serializes a coordinator (and optionally the run's fault injector)
 /// into one checkpoint blob.
@@ -76,16 +76,21 @@ pub fn restore(
     Ok(())
 }
 
-/// The coordinator section of a checkpoint blob — the part divergence
-/// bisection compares (the injector log legitimately differs between a
-/// golden and a faulty run).
+/// Fails unless every engine of `coord` supports snapshots: the default
+/// `save_state` writes nothing, so such an engine could be neither
+/// restored nor compared.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Hardware`] on truncated bytes.
-pub fn coordinator_bytes(blob: &[u8]) -> Result<&[u8], SimError> {
-    let mut r = StateReader::new(blob);
-    Ok(r.bytes()?)
+/// Returns [`SimError::Hardware`] naming the missing support.
+pub(crate) fn require_snapshots(coord: &Coordinator) -> Result<(), SimError> {
+    if coord.supports_snapshot() {
+        Ok(())
+    } else {
+        Err(SimError::Hardware(RtlError::State {
+            reason: "an engine does not support snapshots".into(),
+        }))
+    }
 }
 
 /// A coordinator stepped round by round under checkpoint recording,
@@ -114,11 +119,7 @@ impl ReplaySession {
         injector: Option<SharedInjector>,
         cadence: u64,
     ) -> Result<Self, SimError> {
-        if !coord.supports_snapshot() {
-            return Err(SimError::Hardware(RtlError::State {
-                reason: "an engine does not support snapshots".into(),
-            }));
-        }
+        require_snapshots(&coord)?;
         let mut session = ReplaySession {
             coord,
             injector,

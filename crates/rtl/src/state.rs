@@ -59,6 +59,20 @@ impl StateWriter {
         self.buf
     }
 
+    /// The bytes written so far.
+    #[inline]
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forgets what was written but keeps the buffer, so one writer can
+    /// serialize state again and again without reallocating.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Bytes written so far.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -71,37 +85,48 @@ impl StateWriter {
         self.buf.is_empty()
     }
 
+    // The field methods below are `#[inline]`: every engine's
+    // `save_state` calls them across crates, and without LTO a call per
+    // field costs more than the field.
+
     /// Appends one byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a `bool` as one byte.
+    #[inline]
     pub fn bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
     }
 
     /// Appends a `u32`, little-endian.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `u64`, little-endian.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends an `i64`, little-endian.
+    #[inline]
     pub fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `usize` as a `u64`.
+    #[inline]
     pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
     /// Appends a length-prefixed byte string.
+    #[inline]
     pub fn bytes(&mut self, v: &[u8]) {
         self.usize(v.len());
         self.buf.extend_from_slice(v);
@@ -120,11 +145,13 @@ impl StateWriter {
     }
 
     /// Appends a length-prefixed UTF-8 string.
+    #[inline]
     pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
     }
 
     /// Appends a sequence length (callers then write the elements).
+    #[inline]
     pub fn seq(&mut self, len: usize) {
         self.usize(len);
     }

@@ -72,10 +72,19 @@ timeout --signal=KILL 300 cargo run --release -q -p codesign-bench --bin bench-s
 
 # Gates restored-run bit-identity (straight vs recorded vs mid-run
 # restored end states), page-store dedup actually deduplicating, and
-# divergence bisection agreeing with the linear-scan oracle on the
-# first diverging seed.
-echo "== bench-replay smoke (time-travel checkpoint/restore + bisection) =="
+# the divergence search agreeing with the linear-scan oracle on every
+# seed it scans.
+echo "== bench-replay smoke (time-travel checkpoint/restore + divergence search) =="
 timeout --signal=KILL 300 cargo run --release -q -p codesign-bench --bin bench-replay -- --smoke
+
+# The "bisect" objects of a full run hold no timings (seed, first
+# divergent round, states compared, healed), so they must match the
+# checked-in report exactly, as BENCH_faults.json does above.
+echo "== bench-replay full (divergence rows as in BENCH_replay.json) =="
+timeout --signal=KILL 300 cargo run --release -q -p codesign-bench --bin bench-replay -- target/BENCH_replay.json
+bisect_rows='"bisect": \{[^}]*\}'
+grep -qE "$bisect_rows" BENCH_replay.json
+diff <(grep -oE "$bisect_rows" target/BENCH_replay.json) <(grep -oE "$bisect_rows" BENCH_replay.json)
 
 # The benchmark BENCHMARK.json declares is its own workspace with its
 # own lock file: build it against the current crates with the lock held

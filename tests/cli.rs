@@ -256,6 +256,10 @@ fn unknown_flags_missing_values_and_stray_arguments_fail() {
             "unexpected argument `other.cds`",
         ),
         (vec!["classify", "--verbose"], "unknown flag `--verbose`"),
+        (
+            vec!["faults", "--bisect", "--cadence", "8"],
+            "unknown flag `--cadence`",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_codesign"))
             .args(&args)
@@ -451,6 +455,24 @@ fn faults_runs_a_small_campaign() {
     let json = std::fs::read_to_string(&out_path).expect("report written");
     assert!(json.contains("fault_campaign"), "{json}");
     let _ = std::fs::remove_file(&out_path);
+}
+
+/// The search names the exact round even when the divergence heals:
+/// register seed 6 departs at round 735 and ends with the golden
+/// fingerprint.
+#[test]
+fn faults_bisect_finds_a_healed_divergence() {
+    let (out, err, ok) = codesign(&[
+        "faults",
+        "--bisect",
+        "--scenario",
+        "ladder_register",
+        "--seed",
+        "6",
+    ]);
+    assert!(ok, "stderr: {err}");
+    assert!(out.contains("first divergent round : 735 "), "{out}");
+    assert!(out.contains("healed"), "{out}");
 }
 
 #[test]
